@@ -18,17 +18,14 @@ from repro.skyline import k_dominant_skyline_naive, k_dominant_skyline_tsa
 from .conftest import dataset
 
 
-@pytest.mark.parametrize("engine", ["tsa", "osa", "naive"])
+@pytest.mark.parametrize("engine", ["tsa", "naive"])
 @pytest.mark.benchmark(group="ablation-inner-engine")
 def test_inner_skyline_engine(benchmark, engine):
-    from repro.skyline import k_dominant_skyline_osa
-
     left, right = dataset(d=5, a=0)
     plan = JoinPlan(left, right)
     matrix = plan.view().oriented()
     fn = {
         "tsa": k_dominant_skyline_tsa,
-        "osa": k_dominant_skyline_osa,
         "naive": k_dominant_skyline_naive,
     }[engine]
     result = benchmark.pedantic(fn, args=(matrix, 8), rounds=1, iterations=1)

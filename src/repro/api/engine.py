@@ -152,7 +152,7 @@ def choose_algorithm(
       or ``"cold"``, with the indexes' mean cell span as the
       selectivity signal): :meth:`PlanStats.indexed_cost`. The engine
       passes ``"warm"`` for auto specs whose side indexes already
-      exist and ``None`` otherwise (see ``_competing``), so a cold
+      exist and ``None`` otherwise (see ``_choose``), so a cold
       build never wins auto by surprise.
 
     Feasibility trumps cost: a non-strictly-monotone aggregate restricts
@@ -584,20 +584,11 @@ class Engine:
             return obj
         return None
 
-    @staticmethod
-    def _side_relation(plan: JoinPlan | CascadePlan, side: str) -> Relation:
-        """The base relation snapshot behind one index side of a plan."""
-        if isinstance(plan, CascadePlan):
-            return plan.relations[0] if side == "first" else plan.relations[-1]
-        return plan.left if side == "left" else plan.right
-
-    def _side_index(
-        self,
-        plan: JoinPlan | CascadePlan,
-        inputs: tuple[QueryInput, ...],
-        side: str,
-    ) -> "DominanceIndex":
-        """The :class:`~repro.core.index.DominanceIndex` for one side.
+    def _side_indexes(
+        self, plan: JoinPlan | CascadePlan, inputs: tuple[QueryInput, ...]
+    ) -> tuple[DominanceIndex, DominanceIndex]:
+        """The two :class:`~repro.core.index.DominanceIndex` es the
+        indexed preset consumes, one per ``plan.INDEX_SIDES`` side.
 
         Registered-dataset inputs use the catalog's version-keyed
         persistent cache (built on first use, maintained through the
@@ -605,22 +596,24 @@ class Engine:
         — same lifetime as the plan's other derived structures — with
         the build/hit accounted in the catalog's counters either way.
         """
-        pos = 0 if side in ("left", "first") else -1
-        relation = self._side_relation(plan, side)
-        if inputs:
-            dataset = self._dataset_for(inputs[pos])
+        indexes: list[DominanceIndex] = []
+        for pos, side in zip((0, -1), plan.INDEX_SIDES):
+            dataset = self._dataset_for(inputs[pos]) if inputs else None
             if dataset is not None:
-                return self._catalog.dominance_index(dataset, relation)
-        index, built = plan.side_index(side)
-        self._catalog.record_index_build(built)
-        return index
+                relation = plan.side_relation(side)
+                indexes.append(self._catalog.dominance_index(dataset, relation))
+            else:
+                index, built = plan.side_index(side)
+                self._catalog.record_index_build(built)
+                indexes.append(index)
+        return indexes[0], indexes[1]
 
     def _quarantine_indexes(
         self, plan: JoinPlan | CascadePlan, inputs: tuple[QueryInput, ...]
     ) -> None:
         """Drop the catalog's persisted side indexes after a failure.
 
-        Called from the graceful-degradation handlers of the indexed
+        Called from the graceful-degradation handler of the indexed
         dispatch: whatever broke (a corrupt index, a failed build), the
         quarantined entries are rebuilt from scratch on the next
         indexed query instead of poisoning every future one. Counted as
@@ -652,18 +645,15 @@ class Engine:
         """
         if spec.use_index is False or spec.problem != "ksjq":
             return None, None
-        sides = (
-            ("first", "last") if isinstance(plan, CascadePlan) else ("left", "right")
-        )
         spans: list[float] = []
         state = "warm"
-        for pos, side in zip((0, -1), sides):
+        for pos, side in zip((0, -1), plan.INDEX_SIDES):
             index = plan.peek_side_index(side)
             if index is None and inputs:
                 dataset = self._dataset_for(inputs[pos])
                 if dataset is not None:
                     index = self._catalog.peek_dominance_index(
-                        dataset, self._side_relation(plan, side)
+                        dataset, plan.side_relation(side)
                     )
             if index is None:
                 state = "cold"
@@ -1134,10 +1124,13 @@ class Engine:
         pass nothing and the indexed path falls back to plan-local
         indexes.
         """
-        if isinstance(plan, CascadePlan):
-            return self._run_cascade(plan, spec, inputs)
         if spec.problem == "ksjq":
             return self._run_ksjq(plan, spec, inputs)
+        if isinstance(plan, CascadePlan):
+            raise ParameterError(
+                "find_k is only defined over two-way joins; run ksjq at "
+                "fixed k over a cascade instead"
+            )
         return self._run_find_k(plan, spec)
 
     def execute_many(
@@ -1232,118 +1225,51 @@ class Engine:
 
     def _run_ksjq(
         self,
-        plan: JoinPlan,
+        plan: JoinPlan | CascadePlan,
         spec: QuerySpec,
         inputs: tuple[QueryInput, ...] = (),
-    ) -> KSJQResult:
-        assert spec.k is not None  # validated by QuerySpec.__post_init__
-        algorithm = spec.algorithm
-        shards: ShardPlan | None = None
-        if algorithm in ("auto", "parallel", "indexed"):
-            stats = plan.stats()
-            shards = plan_shards(
-                stats.join_size, spec.parallelism, stats.joined_width
-            )
-        if algorithm == "auto":
-            assert shards is not None
-            if spec.use_index is True:
-                algorithm = "indexed"
-            else:
-                index_state, index_span = self._peek_index_state(
-                    plan, spec, inputs
-                )
-                algorithm, _, _ = choose_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=shards.workers,
-                    index_state=_competing(index_state),
-                    index_span=index_span,
-                )
-        if algorithm == "indexed":
-            try:
-                left_index = self._side_index(plan, inputs, "left")
-                right_index = self._side_index(plan, inputs, "right")
-                return run_indexed(
-                    plan, spec.k, left_index, right_index, shards=shards
-                )
-            except (DeadlineExceeded, ParameterError):
-                raise  # verified partials / caller errors pass through
-            except Exception:  # noqa: BLE001 - degradation boundary
-                # A corrupt or unloadable index must never fail (or
-                # wrong-answer) the query: quarantine both sides and
-                # fall back to the exact non-indexed plan.
-                self._quarantine_indexes(plan, inputs)
-                algorithm = (
-                    "parallel"
-                    if shards is not None and shards.is_parallel
-                    else "naive"
-                )
-        if algorithm == "parallel":
-            return run_parallel(plan, spec.k, shards=shards)
-        if algorithm == "naive":
-            return run_naive(plan, spec.k)
-        if algorithm == "grouping":
-            return run_grouping(plan, spec.k, mode=spec.mode)
-        if algorithm == "dominator":
-            return run_dominator(plan, spec.k, mode=spec.mode)
-        return run_cartesian(plan, spec.k, mode=spec.mode)
+    ) -> KSJQResult | CascadeResult:
+        """Run a ksjq spec — two-way or cascade — on its preset.
 
-    def _run_cascade(
-        self,
-        plan: CascadePlan,
-        spec: QuerySpec,
-        inputs: tuple[QueryInput, ...] = (),
-    ) -> CascadeResult:
-        if spec.problem != "ksjq":
-            raise ParameterError(
-                "find_k is only defined over two-way joins; run ksjq at "
-                "fixed k over a cascade instead"
-            )
+        An indexed run that fails for any reason but a deadline or a
+        caller error quarantines the side indexes and degrades to the
+        exact non-indexed preset: a corrupt or unloadable index never
+        fails (or wrong-answers) the query.
+        """
         assert spec.k is not None  # validated by QuerySpec.__post_init__
-        algorithm = spec.algorithm
+        k, algorithm = spec.k, spec.algorithm
         shards: ShardPlan | None = None
         if algorithm in ("auto", "parallel", "indexed"):
-            stats = plan.stats()
-            shards = plan_shards(
-                stats.join_size, spec.parallelism, stats.joined_width
-            )
-        if algorithm == "auto":
-            assert shards is not None
-            if spec.use_index is True:
-                algorithm = "indexed"
-            else:
-                index_state, index_span = self._peek_index_state(
-                    plan, spec, inputs
-                )
-                algorithm, _, _ = choose_cascade_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=shards.workers,
-                    index_state=_competing(index_state),
-                    index_span=index_span,
-                )
+            shards = _shard_plan(plan, spec)
+            if algorithm == "auto":
+                state, span = self._peek_index_state(plan, spec, inputs)
+                algorithm = _choose(plan, spec, shards, state, span)[0]
         if algorithm == "indexed":
             try:
-                first_index = self._side_index(plan, inputs, "first")
-                last_index = self._side_index(plan, inputs, "last")
-                return run_cascade_indexed(
-                    plan, spec.k, first_index, last_index, shards=shards
-                )
+                first, last = self._side_indexes(plan, inputs)
+                if isinstance(plan, CascadePlan):
+                    return run_cascade_indexed(plan, k, first, last, shards=shards)
+                return run_indexed(plan, k, first, last, shards=shards)
             except (DeadlineExceeded, ParameterError):
                 raise  # verified partials / caller errors pass through
             except Exception:  # noqa: BLE001 - degradation boundary
-                # Same quarantine-and-degrade contract as _run_ksjq.
                 self._quarantine_indexes(plan, inputs)
-                algorithm = (
-                    "parallel"
-                    if shards is not None and shards.is_parallel
-                    else "naive"
-                )
+                algorithm = "parallel" if shards is not None and shards.is_parallel else "naive"
+        if isinstance(plan, CascadePlan):
+            if algorithm == "parallel":
+                return run_cascade_parallel(plan, k, shards=shards)
+            if algorithm == "naive":
+                return run_cascade_naive(plan, k)
+            return run_cascade_pruned(plan, k)
         if algorithm == "parallel":
-            return run_cascade_parallel(plan, spec.k, shards=shards)
+            return run_parallel(plan, k, shards=shards)
         if algorithm == "naive":
-            return run_cascade_naive(plan, spec.k)
-        return run_cascade_pruned(plan, spec.k)
+            return run_naive(plan, k)
+        if algorithm == "grouping":
+            return run_grouping(plan, k, mode=spec.mode)
+        if algorithm == "dominator":
+            return run_dominator(plan, k, mode=spec.mode)
+        return run_cartesian(plan, k, mode=spec.mode)
 
     def _run_find_k(self, plan: JoinPlan, spec: QuerySpec) -> FindKResult:
         assert spec.delta is not None  # validated by QuerySpec.__post_init__
@@ -1419,142 +1345,53 @@ class Engine:
             # probe plan-local indexes only (matches _run's behavior).
             inputs = ()
         stats = plan.stats()
-        shards = (
-            plan_shards(stats.join_size, spec.parallelism, stats.joined_width)
-            if spec.problem == "ksjq"
-            else None
-        )
-        workers = shards.workers if shards is not None else 1
         index_state, index_span = self._peek_index_state(plan, spec, inputs)
-
-        def index_line(algorithm: str) -> str | None:
-            if spec.problem != "ksjq":
-                return (
-                    "not applicable (find_k probe evaluations run the "
-                    "serial faithful path)"
-                )
-            if spec.use_index is False:
-                return "disabled (use_index=False)"
-            assert index_state is not None  # ksjq and not disabled
-            detail = index_state
-            if index_span is not None:
-                detail += f" (mean cell span {index_span:.2f})"
+        shards: ShardPlan | None = None
+        if spec.problem == "ksjq" or isinstance(plan, CascadePlan):  # cascades are ksjq-only
+            shards = _shard_plan(plan, spec)
+            algorithm, costs, reason = _choose(plan, spec, shards, index_state, index_span)
             if algorithm == "indexed":
-                return f"{detail}; consumed by the indexed path"
-            return f"{detail}; unused by {algorithm}"
-
-        if isinstance(plan, CascadePlan):
-            if spec.algorithm == "auto" and spec.use_index is True:
-                algorithm = "indexed"
-                _, costs, _ = choose_cascade_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=index_state,
-                    index_span=index_span,
-                )
-                reason = "use_index=True forces the indexed path"
-            elif spec.algorithm == "auto":
-                algorithm, costs, reason = choose_cascade_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=_competing(index_state),
-                    index_span=index_span,
-                )
-            else:
-                algorithm = spec.algorithm
-                _, costs, _ = choose_cascade_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=index_state,
-                    index_span=index_span,
-                )
-                reason = "explicitly requested"
-            if algorithm == "indexed" and shards is not None:
                 shards = replace(shards, partition="cells")
-            return ExplainReport(
-                spec=spec,
-                algorithm=algorithm,
-                reason=reason,
-                costs=costs,
-                stats=stats,
-                cache_hit=cache_hit,
-                shards=shards,
-                index=index_line(algorithm),
-                resilience=_resilience_line(),
-            )
-        if spec.problem == "ksjq":
-            if spec.algorithm == "auto" and spec.use_index is True:
-                algorithm = "indexed"
-                _, costs, _ = choose_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=index_state,
-                    index_span=index_span,
-                )
-                reason = "use_index=True forces the indexed path"
-            elif spec.algorithm == "auto":
-                algorithm, costs, reason = choose_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=_competing(index_state),
-                    index_span=index_span,
-                )
-            else:
-                algorithm = spec.algorithm
-                _, costs, _ = choose_algorithm(
-                    plan,
-                    spec.mode,
-                    workers=workers,
-                    index_state=index_state,
-                    index_span=index_span,
-                )
-                reason = "explicitly requested"
-            if algorithm == "indexed" and shards is not None:
-                shards = replace(shards, partition="cells")
-            return ExplainReport(
-                spec=spec,
-                algorithm=algorithm,
-                reason=reason,
-                costs=costs,
-                stats=stats,
-                cache_hit=cache_hit,
-                shards=shards,
-                index=index_line(algorithm),
-                resilience=_resilience_line(),
-            )
-        # find_k: cost = expected number of probe points per method.
-        d1, d2 = plan.left.schema.d, plan.right.schema.d
-        a = plan.left.schema.a
-        k_min = max(d1, d2) + 1
-        k_max = (d1 - a) + (d2 - a) + a
-        span = max(1, k_max - k_min + 1)
-        costs = {
-            "naive": float(span),
-            "range": float(span),
-            "binary": float(math.ceil(math.log2(span)) + 1),
-        }
-        reason = (
-            f"{spec.method} search over k in [{k_min}, {k_max}]"
-            + (
+        else:
+            # find_k: cost = expected number of probe points per method.
+            d1, d2 = plan.left.schema.d, plan.right.schema.d
+            a = plan.left.schema.a
+            k_min = max(d1, d2) + 1
+            k_max = (d1 - a) + (d2 - a) + a
+            span = max(1, k_max - k_min + 1)
+            algorithm = spec.method
+            costs = {
+                "naive": float(span),
+                "range": float(span),
+                "binary": float(math.ceil(math.log2(span)) + 1),
+            }
+            reason = f"{spec.method} search over k in [{k_min}, {k_max}]" + (
                 "; range/binary short-circuit full evaluations via "
                 "categorization bounds"
                 if spec.method != "naive"
                 else "; every probe is a full evaluation"
             )
-        )
+        if spec.problem != "ksjq":
+            index = "not applicable (find_k probe evaluations run the serial faithful path)"
+        elif index_state is None:
+            index = "disabled (use_index=False)"
+        else:
+            index = index_state
+            if index_span is not None:
+                index += f" (mean cell span {index_span:.2f})"
+            if algorithm == "indexed":
+                index += "; consumed by the indexed path"
+            else:
+                index += f"; unused by {algorithm}"
         return ExplainReport(
             spec=spec,
-            algorithm=spec.method,
+            algorithm=algorithm,
             reason=reason,
             costs=costs,
             stats=stats,
             cache_hit=cache_hit,
-            index=index_line(spec.method),
+            shards=shards,
+            index=index,
             resilience=_resilience_line(),
         )
 
@@ -1591,18 +1428,44 @@ def _resilience_line() -> str:
     )
 
 
-def _competing(index_state: str | None) -> str | None:
-    """The index state ``algorithm="auto"`` lets compete on cost.
+def _shard_plan(plan: JoinPlan | CascadePlan, spec: QuerySpec) -> ShardPlan:
+    """The :class:`ShardPlan` a ksjq spec's parallel/indexed run uses."""
+    stats = plan.stats()
+    return plan_shards(stats.join_size, spec.parallelism, stats.joined_width)
 
-    Only *warm* indexes enter the auto cost race: a cold build is a
-    deliberate investment the caller opts into (``algorithm="indexed"``
-    or ``use_index=True``) — letting it compete by default would flip
-    the engine's established auto choices on every first query. Once
-    any indexed query has built (and the catalog persisted) the side
-    indexes, subsequent auto queries see ``"warm"`` and the cost model
-    weighs the indexed path like any other.
+
+def _choose(
+    plan: JoinPlan | CascadePlan,
+    spec: QuerySpec,
+    shards: ShardPlan,
+    index_state: str | None,
+    index_span: float | None,
+) -> tuple[str, dict[str, float], str]:
+    """``(algorithm, costs, reason)`` for a ksjq spec: the one choice
+    both :meth:`Engine._run_ksjq` and :meth:`Engine.explain` use.
+
+    ``use_index=True`` forces the indexed path and an explicit
+    algorithm runs as requested; their costs cover every applicable
+    candidate, the index included. ``algorithm="auto"`` takes the cost
+    model's pick, but only a *warm* index enters that race: a cold
+    build is a deliberate investment the caller opts into
+    (``algorithm="indexed"`` or ``use_index=True``) — letting it compete
+    by default would flip the engine's established auto choices on
+    every first query. Once any indexed query has built (and the
+    catalog persisted) the side indexes, auto queries see ``"warm"``
+    and weigh the indexed path like any other.
     """
-    return index_state if index_state == "warm" else None
+    auto = spec.algorithm == "auto" and spec.use_index is not True
+    state = None if auto and index_state != "warm" else index_state
+    if isinstance(plan, CascadePlan):
+        choice = choose_cascade_algorithm(plan, spec.mode, shards.workers, state, index_span)
+    else:
+        choice = choose_algorithm(plan, spec.mode, shards.workers, state, index_span)
+    if auto:
+        return choice
+    if spec.algorithm == "auto":
+        return "indexed", choice[1], "use_index=True forces the indexed path"
+    return spec.algorithm, choice[1], "explicitly requested"
 
 
 def _stale(tokens: object, uid: int, version: int) -> bool:

@@ -49,23 +49,23 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, cast
 
 import numpy as np
 
 from ..relational.relation import Relation
 from ..resilience import checkpoint
 from ..skyline.dominance import cells_k_dominated
-from .result import KSJQResult
-from .timing import PhaseClock
+from .parallel import _exact_pipeline
 from .verify import sort_rows_for_early_exit
 
 if TYPE_CHECKING:
     from .._typing import BoolVector, FloatMatrix, FloatVector, IntVector
     from .cascade import CascadeResult
-    from .plan import CascadePlan, JoinPlan
     from .parallel import ShardPlan
+    from .plan import CascadePlan, JoinPlan
+    from .result import KSJQResult
 
 __all__ = [
     "DominanceIndex",
@@ -348,8 +348,8 @@ class CellPartition:
 
     @property
     def lock(self) -> threading.RLock:
-        """The memo lock; hand this to ``_sharded_skyline`` together
-        with :attr:`candidates_by_k`."""
+        """The memo lock guarding :attr:`candidates_by_k` and
+        :attr:`survivors_by_k` writes."""
         return self._lock
 
     def sorted_matrix(self) -> FloatMatrix:
@@ -400,9 +400,6 @@ class CellPartition:
         ]
 
 
-# ----------------------------------------------------------------------
-# Plan-based runners (consumed by repro.api.Engine)
-# ----------------------------------------------------------------------
 def joined_cell_ids(
     left_index: DominanceIndex,
     right_index: DominanceIndex,
@@ -414,136 +411,40 @@ def joined_cell_ids(
     return left_index.cell_of[left_rows] * radix + right_index.cell_of[right_rows]
 
 
+# ----------------------------------------------------------------------
+# Presets of the exact pipeline (consumed by repro.api.Engine)
+# ----------------------------------------------------------------------
 def run_indexed(
-    plan: "JoinPlan",
+    plan: JoinPlan,
     k: int,
     left_index: DominanceIndex,
     right_index: DominanceIndex,
-    shards: "ShardPlan | None" = None,
+    shards: ShardPlan | None = None,
 ) -> KSJQResult:
-    """Index-accelerated two-way KSJQ: cell pruning + cell sharding.
+    """Index-accelerated two-way KSJQ: the exact pipeline of
+    :mod:`repro.core.parallel` over the plan's surviving joined cells.
 
-    Exact for every join kind and any aggregate (bounds are computed on
-    the materialized joined view, so no monotonicity is assumed), and
-    byte-identical to the naive ground truth across ``parallelism``
-    settings: pruning only ever removes provably non-winning tuples
-    (module docstring), candidate generation runs per cell bucket, and
-    the mandatory verification pass re-checks every candidate against
-    the **full** joined matrix.
-
-    Repeated queries through a cached plan get cheaper twice over: the
-    cell partition, pruning masks and per-``k`` candidate supersets are
-    memoized on the plan's :class:`CellPartition` (first repeat:
-    verification-only), and the verified survivor rows themselves are
-    memoized per ``k`` (further repeats: answer construction only —
-    sound because the partition is bound to one immutable snapshot via
-    the index tokens, so mutations always land on a fresh partition).
+    Exact for every join kind and any aggregate, and byte-identical to
+    the naive ground truth across ``parallelism`` settings: pruning only
+    removes provably non-winning tuples (module docstring), and the
+    mandatory verification pass re-checks every candidate against the
+    **full** joined matrix. Repeated queries through a cached plan hit
+    the :class:`CellPartition` memos (pruning masks, candidate
+    supersets, verified survivors).
     """
-    from .parallel import _sharded_skyline, plan_shards
-
-    params = plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        view = plan.view()
-        matrix = view.oriented()
-    if shards is None:
-        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
-    shards = replace(shards, partition="cells")
-    with clock.phase("grouping"):
-        partition = plan.cell_partition(left_index, right_index)
-        pruned = int(np.count_nonzero(partition.pruned_cells(k)))
-        memoized = partition.survivors_by_k.get(k)
-        buckets = (
-            None
-            if memoized is not None or partition.has_candidates(k)
-            else partition.row_buckets(k, shards.n_shards)
-        )
-    if memoized is not None:
-        keep, checked = memoized
-    else:
-        keep, checked = _sharded_skyline(
-            matrix,
-            k,
-            shards,
-            clock,
-            partial_of=lambda survivors: tuple(
-                (int(view.pairs[i, 0]), int(view.pairs[i, 1])) for i in survivors
-            ),
-            row_subsets=buckets,
-            sorted_matrix=partition.sorted_matrix(),
-            candidate_memo=partition.candidates_by_k,
-            memo_lock=partition.lock,
-        )
-        with partition.lock:
-            partition.survivors_by_k[k] = (keep, checked)
-    return KSJQResult(
-        algorithm="indexed",
-        mode="exact",
-        params=params,
-        pairs=view.pairs[keep],
-        timings=clock.freeze(),
-        cell_pair_counts={"cells": partition.n_cells, "pruned_cells": pruned},
-        checked=checked,
-    )
+    indexes = (left_index, right_index)
+    return cast("KSJQResult", _exact_pipeline(plan, k, "indexed", shards, indexes))
 
 
 def run_cascade_indexed(
-    plan: "CascadePlan",
+    plan: CascadePlan,
     k: int,
     first_index: DominanceIndex,
     last_index: DominanceIndex,
-    shards: "ShardPlan | None" = None,
-) -> "CascadeResult":
+    shards: ShardPlan | None = None,
+) -> CascadeResult:
     """Index-accelerated m-way cascade: chains are bucketed by the
     (first relation cell) x (last relation cell) product, pruned by the
-    same witness rule, and verified against the full chain matrix.
-    Exact for any aggregate; byte-identical across shard counts."""
-    from .cascade import CascadeResult
-    from .parallel import _sharded_skyline, plan_shards
-
-    plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        all_chains = plan.chains()
-        matrix = plan.oriented()
-    if shards is None:
-        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
-    shards = replace(shards, partition="cells")
-    with clock.phase("grouping"):
-        partition = plan.cell_partition(first_index, last_index)
-        pruned_mask = partition.pruned_cells(k)
-        pruned_chains = (
-            int(partition.cell_counts[pruned_mask].sum()) if pruned_mask.size else 0
-        )
-        memoized = partition.survivors_by_k.get(k)
-        buckets = (
-            None
-            if memoized is not None or partition.has_candidates(k)
-            else partition.row_buckets(k, shards.n_shards)
-        )
-    if memoized is not None:
-        keep = memoized[0]
-    else:
-        keep, checked = _sharded_skyline(
-            matrix,
-            k,
-            shards,
-            clock,
-            partial_of=lambda survivors: tuple(
-                tuple(int(x) for x in all_chains[i]) for i in survivors
-            ),
-            row_subsets=buckets,
-            sorted_matrix=partition.sorted_matrix(),
-            candidate_memo=partition.candidates_by_k,
-            memo_lock=partition.lock,
-        )
-        with partition.lock:
-            partition.survivors_by_k[k] = (keep, checked)
-    return CascadeResult(
-        k=k,
-        chains=all_chains[keep],
-        total_chains=int(all_chains.shape[0]),
-        pruned_rows=pruned_chains,
-        algorithm="indexed",
-        timings=clock.freeze(),
-    )
+    same witness rule, and verified against the full chain matrix."""
+    indexes = (first_index, last_index)
+    return cast("CascadeResult", _exact_pipeline(plan, k, "indexed", shards, indexes))

@@ -32,8 +32,9 @@ from .verify import checkpointed_skyline
 __all__ = ["run_naive"]
 
 
-def run_naive(plan: JoinPlan, k: int, skyline_method: str = "tsa") -> KSJQResult:
-    """Run Algorithm 1 on a prepared join plan.
+def run_naive(plan: JoinPlan, k: int) -> KSJQResult:
+    """Run Algorithm 1 on a prepared join plan: the per-row two-scan
+    (TSA) k-dominant skyline over the materialized join.
 
     Parameters
     ----------
@@ -41,9 +42,6 @@ def run_naive(plan: JoinPlan, k: int, skyline_method: str = "tsa") -> KSJQResult
         The join to query (any kind; any monotone aggregate).
     k:
         Number of joined skyline attributes a dominator must cover.
-    skyline_method:
-        Inner k-dominant skyline engine: ``"tsa"`` (two-scan, default)
-        or ``"naive"`` (quadratic reference).
     """
     params = plan.params(k)
     clock = PhaseClock()
@@ -62,7 +60,7 @@ def run_naive(plan: JoinPlan, k: int, skyline_method: str = "tsa") -> KSJQResult
                 ),
             )
         else:
-            skyline_idx = k_dominant_skyline(matrix, k, method=skyline_method)
+            skyline_idx = k_dominant_skyline(matrix, k)
         pairs = view.pairs[skyline_idx]
     return KSJQResult(
         algorithm="naive",

@@ -1,12 +1,27 @@
-"""Sharded parallel execution of KSJQ and cascade queries.
+"""The one exact execution pipeline: sharded KSJQ over the joined view.
 
 The scalability figures are bounded by one candidate-generation pass
-over the joined view. This module partitions that pass: the joined
-candidate space — the outer (left) relation's share of the joined
-view for two-way joins, the first hop's share of the chain set for
-cascades — is split into contiguous **shards**, each shard generates
-its local skyline candidates independently (a worker per shard), and a
-mandatory **cross-shard verification** pass closes the merge.
+over the joined view. This module partitions that pass. Every faster
+exact path — the ``parallel`` and ``indexed`` presets, for two-way
+joins and cascades alike — runs the same four steps
+(:func:`_exact_pipeline`):
+
+1. **join** — the plan's pairs or chains and their oriented matrix
+   (``plan.joined()``);
+2. **partition** — contiguous row **shards** (for cascades, chains
+   are first-relation-major, so shards split the first hop), or the
+   surviving cells of the plan's
+   :class:`~repro.core.index.CellPartition`;
+3. **sharded skyline** — each work item generates its local skyline
+   candidates independently, then a mandatory **cross-shard
+   verification** pass closes the merge;
+4. **answer** — a :class:`~repro.core.result.KSJQResult` or
+   :class:`~repro.core.cascade.CascadeResult`.
+
+The presets :func:`run_parallel`, :func:`run_cascade_parallel` and
+(in :mod:`repro.core.index`) ``run_indexed`` / ``run_cascade_indexed``
+only pick the plan kind and the partition; the executor — serial,
+threads or processes — comes from the :class:`ShardPlan`.
 
 The verification pass is not an optimization detail but a correctness
 requirement: k-dominance is *non-transitive* (paper Sec. 2.2), so a
@@ -56,7 +71,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -68,17 +83,20 @@ from ..resilience import (
     resilience_stats,
     retry_call,
 )
-from ..serving.deadline import DEFAULT_CHECK_INTERVAL, active_deadline
+from ..serving.deadline import active_deadline
 from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
+from .cascade import CascadeResult
+from .plan import CascadePlan
 from .result import KSJQResult
 from .timing import PhaseClock
-from .verify import sort_rows_for_early_exit
+from .verify import DEADLINE_SCAN_CHUNK, DEADLINE_VERIFY_CHUNK, sort_rows_for_early_exit
 
-if TYPE_CHECKING:
-    from .._typing import BoolVector, FloatMatrix, IntVector  # pragma: no cover - import cycle guard
-    from .cascade import CascadeResult
-    from .plan import CascadePlan, JoinPlan
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .._typing import BoolVector, FloatMatrix, IntMatrix, IntVector
+    from ..serving.deadline import Deadline
+    from .index import CellPartition, DominanceIndex
+    from .plan import JoinPlan
 
 __all__ = [
     "ShardPlan",
@@ -164,8 +182,7 @@ class ShardPlan:
         How the candidate rows are split across shards: ``"rows"``
         (contiguous slices, the default) or ``"cells"`` (whole joined
         cells of a :class:`repro.core.index.CellPartition`, LPT-balanced
-        — the indexed path relabels its plan so ``explain`` reports the
-        cell sharding).
+        — ``explain`` relabels an indexed query's plan this way).
     """
 
     workers: int
@@ -281,19 +298,14 @@ _SHARED_PAYLOADS: dict[int, FloatMatrix] = {}
 _shared_keys = itertools.count()
 
 
-def _shard_candidates(args: tuple[IntVector, int, int]) -> IntVector:
-    """Phase 1, one shard: local candidate superset, as global indices."""
-    shard_matrix, offset, k = args
+def _shard_candidates(args: tuple[FloatMatrix, int | IntVector, int]) -> IntVector:
+    """Phase 1, one work item: local candidate superset, as global
+    indices. ``rows`` is the first row of a contiguous shard, or the row
+    list of a cell bucket."""
+    shard_matrix, rows, k = args
     checkpoint("shard.candidates")
-    return k_dominant_candidates_block(shard_matrix, k) + offset
-
-
-def _subset_candidates(args: tuple[FloatMatrix, IntVector, int]) -> IntVector:
-    """Phase 1, one cell bucket: local candidate superset of a
-    non-contiguous row subset, mapped back to global indices."""
-    bucket_matrix, rows, k = args
-    checkpoint("shard.candidates")
-    return rows[k_dominant_candidates_block(bucket_matrix, k)]
+    local = k_dominant_candidates_block(shard_matrix, k)
+    return rows[local] if isinstance(rows, np.ndarray) else local + rows
 
 
 def _verify_chunk(args: tuple[int, IntVector, int]) -> BoolVector:
@@ -499,142 +511,242 @@ def _map_tasks(
     return _serial_tasks(fn, tasks)
 
 
+def _task_bounds(n_rows: int, n_shards: int, chunk: int | None) -> list[tuple[int, int]]:
+    """:func:`shard_bounds` over ``n_shards``, or — when a deadline caps
+    the task size — enough ranges that none exceeds ``chunk`` rows."""
+    return shard_bounds(n_rows, n_shards if chunk is None else -(-n_rows // chunk))
+
+
+def _candidate_tasks(
+    matrix: FloatMatrix,
+    k: int,
+    shards: ShardPlan,
+    chunk: int | None,
+    cells: CellPartition | None,
+) -> list[tuple[FloatMatrix, int | IntVector, int]]:
+    """The partition step: phase-1 work items of the sharded skyline.
+
+    Without ``cells`` the joined rows split into contiguous shards,
+    handed out as slices (views, not copies). With ``cells`` the work
+    is the surviving cells of the plan's :class:`CellPartition`, whole
+    cells LPT-balanced into ``n_shards`` buckets. ``chunk`` caps each
+    item's rows (under a deadline).
+    """
+    if cells is None:
+        return [
+            (matrix[start:stop], start, k)
+            for start, stop in _task_bounds(matrix.shape[0], shards.n_shards, chunk)
+        ]
+    buckets = cells.row_buckets(k, shards.n_shards)
+    if chunk is not None:
+        buckets = [
+            rows[start:stop]
+            for rows in buckets
+            for start, stop in _task_bounds(rows.size, 1, chunk)
+        ]
+    return [(matrix[rows], rows, k) for rows in buckets]
+
+
+def _waves(
+    fn: Callable[[tuple], np.ndarray],
+    tasks: Sequence[tuple],
+    shards: ShardPlan,
+    deadline: Deadline | None,
+    partial: Callable[[], tuple[tuple[int, ...], ...]],
+    needs_shared_state: bool = False,
+) -> Iterator[np.ndarray]:
+    """Run ``tasks`` on the shard plan's executor, yielding results in
+    task order.
+
+    Without a deadline every task goes out at once. Under a deadline
+    they go out ``n_shards`` per wave with a check before each wave, so
+    expiry waits for at most one wave of work; a finished wave's
+    results are yielded before the next check, so the caller's
+    ``partial`` already covers them.
+    """
+    size = len(tasks) if deadline is None else shards.n_shards
+    for start in range(0, len(tasks), max(1, size)):
+        if deadline is not None:
+            deadline.check(partial)
+        yield from _map_tasks(fn, tasks[start : start + size], shards, needs_shared_state)
+
+
 def _sharded_skyline(
     matrix: FloatMatrix,
     k: int,
     shards: ShardPlan,
     clock: PhaseClock,
     partial_of: Callable[[Sequence[int]], tuple[tuple[int, ...], ...]] | None = None,
-    row_subsets: Sequence[IntVector] | None = None,
-    sorted_matrix: FloatMatrix | None = None,
-    candidate_memo: dict[int, IntVector] | None = None,
-    memo_lock: threading.RLock | None = None,
+    cells: CellPartition | None = None,
 ) -> tuple[IntVector, int]:
     """The two-phase partition-and-merge skyline over ``matrix``.
 
-    Phase 1 ("grouping" clock phase): per-shard local candidate
-    generation. Phase 2 ("remaining"): cross-shard verification of the
-    merged candidates against all rows. Returns ``(sorted surviving row
-    indices, number of candidates verified)``.
+    Phase 1 ("grouping" clock phase): local candidate generation per
+    work item of :func:`_candidate_tasks`. Phase 2 ("remaining"):
+    cross-shard verification of the merged candidates against all
+    rows. Returns ``(sorted surviving row indices, number of candidates
+    verified)``.
 
-    ``row_subsets`` replaces the default contiguous sharding with
-    explicit candidate row lists — the indexed path passes LPT-balanced
-    cell buckets whose union is the *unpruned* rows only. That is sound
-    because phase 2 is unchanged: candidates are always verified against
-    **all** rows of ``matrix`` (pruned tuples are provably non-winning
-    yet still k-dominate others), so the answer stays byte-identical to
-    the unpruned paths. ``sorted_matrix`` optionally supplies the
-    pre-sorted verification matrix (a plan-level memo) and
-    ``candidate_memo``/``memo_lock`` a per-``k`` candidate-superset memo
-    filled under the lock: a repeated query skips phase 1 entirely and
-    re-verifies the memoized superset — exactness never depends on the
-    memo since verification is exact for *any* superset of the answer.
+    ``cells`` replaces the contiguous shards with the surviving cells
+    of a :class:`~repro.core.index.CellPartition`, whose union is the
+    *unpruned* rows only. That is sound because phase 2 is unchanged:
+    candidates are always verified against **all** rows of ``matrix``
+    (pruned tuples are provably non-winning yet still k-dominate
+    others). The partition also supplies the pre-sorted verification
+    matrix and a per-``k`` candidate memo filled under its lock: a
+    repeated query skips phase 1 and re-verifies the memoized superset
+    — exactness never depends on the memo, since verification is exact
+    for *any* superset of the answer.
 
-    When a serving deadline is active, checks run between the phases
-    and between verification *waves*: the candidate chunks shrink to
-    :data:`~repro.serving.deadline.DEFAULT_CHECK_INTERVAL` rows and are
-    dispatched ``n_shards`` at a time, so a deadline trips within one
-    wave's work. ``partial_of`` maps the row indices verified so far to
-    the pairs/chains carried by the raised ``DeadlineExceeded``.
+    Under an active serving deadline both phases run in waves of
+    ``n_shards`` tasks with a check before each wave: phase 1 over
+    items of at most :data:`~repro.core.verify.DEADLINE_SCAN_CHUNK`
+    rows (chunk-local candidates are still a superset), phase 2 over
+    chunks of :data:`~repro.core.verify.DEADLINE_VERIFY_CHUNK`
+    candidates — the scheme of :func:`~repro.core.verify.checkpointed_skyline`.
+    ``partial_of`` maps the row indices verified so far to the
+    pairs/chains carried by the raised ``DeadlineExceeded``.
     """
     deadline = active_deadline()
-    survivors: list[int] = []
+    kept: list[IntVector] = []
 
     def partial() -> tuple[tuple[int, ...], ...]:
+        survivors = [int(i) for part in kept for i in part]
         return partial_of(survivors) if partial_of is not None else ()
 
-    n = matrix.shape[0]
     with clock.phase("grouping"):
-        if deadline is not None:
-            deadline.check(partial)
-        candidates = (
-            candidate_memo.get(k) if candidate_memo is not None else None
-        )
+        candidates = cells.candidates_by_k.get(k) if cells is not None else None
         if candidates is None:
-            if row_subsets is not None:
-                locals_ = _map_tasks(
-                    _subset_candidates,
-                    [(matrix[rows], rows, k) for rows in row_subsets if rows.size],
-                    shards,
-                )
-            else:
-                bounds = shard_bounds(n, shards.n_shards)
-                locals_ = _map_tasks(
-                    _shard_candidates,
-                    [(matrix[start:stop], start, k) for start, stop in bounds],
-                    shards,
-                )
+            chunk = None if deadline is None else DEADLINE_SCAN_CHUNK
+            scans = _candidate_tasks(matrix, k, shards, chunk, cells)
+            locals_ = list(_waves(_shard_candidates, scans, shards, deadline, partial))
             candidates = (
                 np.sort(np.concatenate(locals_))
                 if locals_
                 else np.empty(0, dtype=np.intp)
             )
-            if candidate_memo is not None:
-                if memo_lock is not None:
-                    with memo_lock:
-                        candidate_memo[k] = candidates
-                else:
-                    candidate_memo[k] = candidates
+            if cells is not None:
+                with cells.lock:
+                    cells.candidates_by_k[k] = candidates
     with clock.phase("remaining"):
         if candidates.size == 0:
             return candidates, 0
-        if deadline is not None:
-            deadline.check(partial)
         # Cross-shard merge: every candidate re-checked against ALL
         # rows (k-dominance is non-transitive — locally eliminated rows
         # still eliminate), with strong rows stacked first for early
         # exit. The sorted matrix travels to workers as fork-inherited
         # shared state, not one pickled copy per chunk.
-        if sorted_matrix is None:
-            sorted_matrix = sort_rows_for_early_exit(matrix)
-        if deadline is None:
-            chunk_bounds = shard_bounds(candidates.size, shards.n_shards)
-            with _shared_payload(sorted_matrix) as payload_key:
-                dominated = np.concatenate(
-                    _map_tasks(
-                        _verify_chunk,
-                        [
-                            (payload_key, matrix[candidates[start:stop]], k)
-                            for start, stop in chunk_bounds
-                        ],
-                        shards,
-                        needs_shared_state=True,
-                    )
-                )
-            return candidates[~dominated], int(candidates.size)
-        step = DEFAULT_CHECK_INTERVAL
-        chunk_bounds = [
-            (start, min(start + step, int(candidates.size)))
-            for start in range(0, int(candidates.size), step)
-        ]
+        sorted_matrix = (
+            cells.sorted_matrix() if cells is not None else sort_rows_for_early_exit(matrix)
+        )
+        chunk = None if deadline is None else DEADLINE_VERIFY_CHUNK
+        bounds = _task_bounds(int(candidates.size), shards.n_shards, chunk)
         with _shared_payload(sorted_matrix) as payload_key:
-            for wave_start in range(0, len(chunk_bounds), shards.n_shards):
-                deadline.check(partial)
-                wave = chunk_bounds[wave_start : wave_start + shards.n_shards]
-                flags = _map_tasks(
-                    _verify_chunk,
-                    [(payload_key, matrix[candidates[start:stop]], k) for start, stop in wave],
-                    shards,
-                    needs_shared_state=True,
-                )
-                for (start, stop), dominated in zip(wave, flags):
-                    survivors.extend(int(c) for c in candidates[start:stop][~dominated])
-        deadline.check(partial)
-        return np.asarray(survivors, dtype=np.intp), int(candidates.size)
+            tasks = [(payload_key, matrix[candidates[start:stop]], k) for start, stop in bounds]
+            flags = _waves(
+                _verify_chunk, tasks, shards, deadline, partial, needs_shared_state=True
+            )
+            for (start, stop), dominated in zip(bounds, flags):
+                kept.append(candidates[start:stop][~dominated])
+        if deadline is not None:
+            deadline.check(partial)
+        return np.concatenate(kept), int(candidates.size)
 
 
 # ----------------------------------------------------------------------
-# Plan-based runners (consumed by repro.api.Engine)
+# The one exact pipeline and its presets (consumed by repro.api.Engine)
 # ----------------------------------------------------------------------
+def _exact_pipeline(
+    plan: JoinPlan | CascadePlan,
+    k: int,
+    algorithm: str,
+    shards: ShardPlan | None,
+    indexes: tuple[DominanceIndex, DominanceIndex] | None = None,
+) -> KSJQResult | CascadeResult:
+    """Join → partition → sharded skyline → answer, for either plan kind.
+
+    The exact path behind the ``parallel`` and ``indexed`` presets (of
+    two-way joins and cascades alike). Works on the materialized joined
+    view, so it is exact for every join kind and any aggregate, and
+    byte-identical to the naive ground truth across shard counts.
+
+    ``indexes`` (the plan's two side indexes) switches the partition
+    from contiguous row shards to the surviving cells of the plan's
+    :class:`~repro.core.index.CellPartition`. Its per-``k`` memos make
+    a repeated query verification-only, then answer-construction-only:
+    the verified survivor rows are memoized too, which is sound because
+    a partition is bound to one immutable snapshot by the index tokens.
+    ``shards`` defaults to the auto decision for the joined size.
+    """
+    plan.params(k)  # validate k before any join work
+    clock = PhaseClock()
+    with clock.phase("join"):
+        rows, matrix = plan.joined()
+    if shards is None:
+        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
+
+    def partial_of(survivors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(int(x) for x in rows[i]) for i in survivors)
+
+    if indexes is None:
+        keep, checked = _sharded_skyline(matrix, k, shards, clock, partial_of)
+        return _answer(plan, k, algorithm, rows, keep, checked, clock)
+    with clock.phase("grouping"):
+        cells = plan.cell_partition(*indexes)
+        pruned = cells.pruned_cells(k)
+        memoized = cells.survivors_by_k.get(k)
+    if memoized is None:
+        memoized = _sharded_skyline(matrix, k, shards, clock, partial_of, cells)
+        with cells.lock:
+            cells.survivors_by_k[k] = memoized
+    keep, checked = memoized
+    return _answer(plan, k, algorithm, rows, keep, checked, clock, cells, pruned)
+
+
+def _answer(
+    plan: JoinPlan | CascadePlan,
+    k: int,
+    algorithm: str,
+    rows: IntMatrix,
+    keep: IntVector,
+    checked: int,
+    clock: PhaseClock,
+    cells: CellPartition | None = None,
+    pruned: BoolVector | None = None,
+) -> KSJQResult | CascadeResult:
+    """The result object of the plan's kind: surviving pairs or chains,
+    plus the cell-pruning counts when a cell partition ran."""
+    if isinstance(plan, CascadePlan):
+        pruned_rows = 0
+        if cells is not None and pruned is not None:
+            pruned_rows = int(cells.cell_counts[pruned].sum())
+        return CascadeResult(
+            k=k,
+            chains=rows[keep],
+            total_chains=int(rows.shape[0]),
+            pruned_rows=pruned_rows,
+            algorithm=algorithm,
+            timings=clock.freeze(),
+        )
+    counts: dict[str, int] = {}
+    if cells is not None and pruned is not None:
+        counts = {"cells": cells.n_cells, "pruned_cells": int(np.count_nonzero(pruned))}
+    return KSJQResult(
+        algorithm=algorithm,
+        mode="exact",
+        params=plan.params(k),
+        pairs=rows[keep],
+        timings=clock.freeze(),
+        cell_pair_counts=counts,
+        checked=checked,
+    )
+
+
 def run_parallel(
-    plan: "JoinPlan", k: int, shards: ShardPlan | None = None
+    plan: JoinPlan, k: int, shards: ShardPlan | None = None
 ) -> KSJQResult:
-    """Sharded two-way KSJQ over a prepared join plan.
-
-    Exact for every join kind and any aggregate (like the naïve
-    algorithm, it works on the materialized joined view and never
-    relies on monotonicity), and shard-count independent: the result is
-    byte-identical across ``parallelism`` settings.
+    """Sharded two-way KSJQ over a prepared join plan: the exact
+    pipeline over contiguous row shards of the joined view.
 
     Parameters
     ----------
@@ -646,65 +758,15 @@ def run_parallel(
         Execution decision from :func:`plan_shards`; defaults to the
         auto decision for the plan's joined size.
     """
-    params = plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        view = plan.view()
-        matrix = view.oriented()
-    if shards is None:
-        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
-    keep, checked = _sharded_skyline(
-        matrix,
-        k,
-        shards,
-        clock,
-        partial_of=lambda survivors: tuple(
-            (int(view.pairs[i, 0]), int(view.pairs[i, 1])) for i in survivors
-        ),
-    )
-    return KSJQResult(
-        algorithm="parallel",
-        mode="exact",
-        params=params,
-        pairs=view.pairs[keep],
-        timings=clock.freeze(),
-        checked=checked,
-    )
+    return cast("KSJQResult", _exact_pipeline(plan, k, "parallel", shards))
 
 
 def run_cascade_parallel(
-    plan: "CascadePlan", k: int, shards: ShardPlan | None = None
-) -> "CascadeResult":
+    plan: CascadePlan, k: int, shards: ShardPlan | None = None
+) -> CascadeResult:
     """Sharded m-way cascade KSJQ over a prepared cascade plan.
 
-    Chains are enumerated first-relation-major, so sharding the chain
-    matrix into contiguous ranges partitions the cascade by its *first
-    hop*: each worker owns one slice of the first relation's chains.
-    Exact for any aggregate; byte-identical across shard counts.
+    Chains are enumerated first-relation-major, so contiguous shards of
+    the chain matrix partition the cascade by its *first hop*.
     """
-    from .cascade import CascadeResult
-
-    plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        all_chains = plan.chains()
-        matrix = plan.oriented()
-    if shards is None:
-        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
-    keep, _ = _sharded_skyline(
-        matrix,
-        k,
-        shards,
-        clock,
-        partial_of=lambda survivors: tuple(
-            tuple(int(x) for x in all_chains[i]) for i in survivors
-        ),
-    )
-    return CascadeResult(
-        k=k,
-        chains=all_chains[keep],
-        total_chains=int(all_chains.shape[0]),
-        pruned_rows=0,
-        algorithm="parallel",
-        timings=clock.freeze(),
-    )
+    return cast("CascadeResult", _exact_pipeline(plan, k, "parallel", shards))

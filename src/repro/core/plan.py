@@ -190,7 +190,109 @@ class PlanStats:
         }
 
 
-class JoinPlan:
+class _IndexedPlan:
+    """Plan-local dominance-index memos, shared by both plan kinds.
+
+    A plan kind names its two index sides in :attr:`INDEX_SIDES`, the
+    base relation behind each (:meth:`_side_relations`), and its joined
+    rows plus oriented matrix (:meth:`joined`) — the input of the exact
+    pipeline in :mod:`repro.core.parallel`.
+
+    Memoization contract (checked by the repo linter's R2 rule):
+    derived structures — here and in the subclasses — are built under
+    double-checked locking, so the lock-free fast-path *reads* are
+    legal but every write must hold ``_memo_lock``.
+
+    # guarded-by-writes: _memo_lock: _side_indexes, _cell_partitions
+    """
+
+    INDEX_SIDES: tuple[str, str]
+
+    def __init__(self) -> None:
+        self._side_indexes: dict[str, DominanceIndex] = {}
+        self._cell_partitions: dict[tuple[object, object], CellPartition] = {}
+        # Cached plans are shared by every concurrent Engine.execute
+        # caller, so lazy builds are guarded (double-checked) by a
+        # reentrant lock: derived structures are built exactly once.
+        self._memo_lock = threading.RLock()
+
+    def joined(self) -> tuple[IntMatrix, FloatMatrix]:
+        """Joined rows (pairs or chains, one row each) and their
+        oriented matrix."""
+        raise NotImplementedError
+
+    def _side_relations(self) -> tuple[Relation, Relation]:
+        raise NotImplementedError
+
+    def side_relation(self, side: str) -> Relation:
+        """The base relation snapshot behind one index side."""
+        if side not in self.INDEX_SIDES:
+            first, last = self.INDEX_SIDES
+            raise ParameterError(f"side must be {first!r} or {last!r}, got {side!r}")
+        return self._side_relations()[self.INDEX_SIDES.index(side)]
+
+    def side_index(self, side: str) -> tuple[DominanceIndex, bool]:
+        """A dominance index for one side, plan-locally memoized.
+
+        The fallback when a side is not a registered dataset (anonymous
+        relations, ``plan=`` overrides): the Catalog cannot persist an
+        index for it, so the plan carries its own. Returns ``(index,
+        built_now)`` so the engine can count builds vs. hits.
+        """
+        relation = self.side_relation(side)
+        index = self._side_indexes.get(side)
+        if index is not None:
+            return index, False
+        with self._memo_lock:
+            index = self._side_indexes.get(side)
+            if index is not None:
+                return index, False
+            from .index import DominanceIndex
+
+            index = DominanceIndex.build(relation)
+            self._side_indexes[side] = index
+            return index, True
+
+    def peek_side_index(self, side: str) -> DominanceIndex | None:
+        """The plan-local index for ``side`` if already built (no build)."""
+        return self._side_indexes.get(side)
+
+    def drop_side_indexes(self) -> None:
+        """Forget the plan-local side indexes and the partitions derived
+        from them (resilience quarantine: after a failed indexed run the
+        next indexed query rebuilds from scratch)."""
+        with self._memo_lock:
+            self._side_indexes = {}
+            self._cell_partitions = {}
+
+    def cell_partition(
+        self, first_index: DominanceIndex, last_index: DominanceIndex
+    ) -> CellPartition:
+        """The joined-cell partition for one pair of side indexes.
+
+        Memoized by the indexes' snapshot tokens, so repeated indexed
+        queries through a cached plan skip the partition pass (and,
+        via the partition's own per-``k`` memos, the pruning and
+        candidate-generation passes too).
+        """
+        key = (first_index.token, last_index.token)
+        partition = self._cell_partitions.get(key)
+        if partition is None:
+            with self._memo_lock:
+                partition = self._cell_partitions.get(key)
+                if partition is None:
+                    from .index import CellPartition, joined_cell_ids
+
+                    rows, matrix = self.joined()
+                    partition = CellPartition(
+                        matrix,
+                        joined_cell_ids(first_index, last_index, rows[:, 0], rows[:, -1]),
+                    )
+                    self._cell_partitions[key] = partition
+        return partition
+
+
+class JoinPlan(_IndexedPlan):
     """A prepared (but unexecuted) join of two base relations.
 
     Parameters
@@ -207,13 +309,12 @@ class JoinPlan:
         The :class:`ThetaCondition` (or conjunction sequence) for
         ``kind="theta"``.
 
-    Memoization contract (checked by the repo linter's R2 rule):
-    derived structures are built under double-checked locking, so the
-    lock-free fast-path *reads* are legal but every write must hold
-    ``_memo_lock``.
+    Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats, _side_indexes, _cell_partitions
+    # guarded-by-writes: _memo_lock: _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats
     """
+
+    INDEX_SIDES = ("left", "right")
 
     def __init__(
         self,
@@ -253,12 +354,7 @@ class JoinPlan:
         self._left_theta: ThetaGroupIndex | ConjunctiveThetaIndex | None = None
         self._right_theta: ThetaGroupIndex | ConjunctiveThetaIndex | None = None
         self._stats: PlanStats | None = None
-        self._side_indexes: dict[str, DominanceIndex] = {}
-        self._cell_partitions: dict[tuple[object, object], CellPartition] = {}
-        # Cached plans are shared by every concurrent Engine.execute
-        # caller, so lazy builds are guarded (double-checked) by a
-        # reentrant lock: derived structures are built exactly once.
-        self._memo_lock = threading.RLock()
+        super().__init__()
 
     # ------------------------------------------------------------------
     def params(self, k: int) -> KSJQParams:
@@ -410,74 +506,13 @@ class JoinPlan:
                     )
         return self._right_theta
 
-    # ------------------------------------------------------------------
-    # Dominance indexes (repro.core.index)
-    # ------------------------------------------------------------------
-    def side_index(self, side: str) -> tuple[DominanceIndex, bool]:
-        """A dominance index for one base side, plan-locally memoized.
+    def joined(self) -> tuple[IntMatrix, FloatMatrix]:
+        """The joined pairs and their oriented matrix."""
+        view = self.view()
+        return view.pairs, view.oriented()
 
-        The fallback when a side is not a registered dataset (anonymous
-        relations, ``plan=`` overrides): the Catalog cannot persist an
-        index for it, so the plan carries its own. Returns ``(index,
-        built_now)`` so the engine can count builds vs. hits.
-        """
-        if side not in ("left", "right"):
-            raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
-        index = self._side_indexes.get(side)
-        if index is not None:
-            return index, False
-        with self._memo_lock:
-            index = self._side_indexes.get(side)
-            if index is not None:
-                return index, False
-            from .index import DominanceIndex
-
-            index = DominanceIndex.build(self.left if side == "left" else self.right)
-            self._side_indexes[side] = index
-            return index, True
-
-    def peek_side_index(self, side: str) -> DominanceIndex | None:
-        """The plan-local index for ``side`` if already built (no build)."""
-        return self._side_indexes.get(side)
-
-    def drop_side_indexes(self) -> None:
-        """Forget the plan-local side indexes and the partitions derived
-        from them (resilience quarantine: after a failed indexed run the
-        next indexed query rebuilds from scratch)."""
-        with self._memo_lock:
-            self._side_indexes = {}
-            self._cell_partitions = {}
-
-    def cell_partition(
-        self, left_index: DominanceIndex, right_index: DominanceIndex
-    ) -> CellPartition:
-        """The joined-cell partition for one pair of side indexes.
-
-        Memoized by the indexes' snapshot tokens, so repeated indexed
-        queries through a cached plan skip the partition pass (and,
-        via the partition's own per-``k`` memos, the pruning and
-        candidate-generation passes too).
-        """
-        key = (left_index.token, right_index.token)
-        partition = self._cell_partitions.get(key)
-        if partition is None:
-            with self._memo_lock:
-                partition = self._cell_partitions.get(key)
-                if partition is None:
-                    from .index import CellPartition, joined_cell_ids
-
-                    view = self.view()
-                    partition = CellPartition(
-                        view.oriented(),
-                        joined_cell_ids(
-                            left_index,
-                            right_index,
-                            view.pairs[:, 0],
-                            view.pairs[:, 1],
-                        ),
-                    )
-                    self._cell_partitions[key] = partition
-        return partition
+    def _side_relations(self) -> tuple[Relation, Relation]:
+        return self.left, self.right
 
     # ------------------------------------------------------------------
     # Categorization (SS/SN/NN) per join kind
@@ -679,7 +714,7 @@ class CascadeStats:
         }
 
 
-class CascadePlan:
+class CascadePlan(_IndexedPlan):
     """A prepared (but unexecuted) cascade of m base relations.
 
     The m-way counterpart of :class:`JoinPlan`: validates the join
@@ -701,13 +736,15 @@ class CascadePlan:
         Aggregate function or registry name; required iff the schemas
         mark aggregate attributes.
 
-    Memoization contract (checked by the repo linter's R2 rule); reads
-    are double-checked-locking fast paths, writes hold ``_memo_lock``.
+    Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _chains, _oriented, _sorted, _pruned, _pruned_candidates, _groups, _stats, _side_indexes, _cell_partitions
+    # guarded-by-writes: _memo_lock: _chains, _oriented, _sorted, _pruned, _pruned_candidates, _groups, _stats
     """
 
     kind = "cascade"
+    #: Chains are bucketed by their end-point relations: enumerated
+    #: first-relation-major, with the last relation as the other axis.
+    INDEX_SIDES = ("first", "last")
 
     def __init__(
         self,
@@ -739,10 +776,7 @@ class CascadePlan:
         self._pruned_candidates: dict[int, tuple[IntMatrix, FloatMatrix]] = {}
         self._groups: list[dict[tuple[object, object], list[int]]] | None = None
         self._stats: CascadeStats | None = None
-        self._side_indexes: dict[str, DominanceIndex] = {}
-        self._cell_partitions: dict[tuple[object, object], CellPartition] = {}
-        # Shared by concurrent engine callers; see JoinPlan._memo_lock.
-        self._memo_lock = threading.RLock()
+        super().__init__()
 
     # ------------------------------------------------------------------
     def params(self, k: int) -> CascadeParams:
@@ -795,6 +829,13 @@ class CascadePlan:
                         self.relations, self.chains(), self.aggregate
                     )
         return self._oriented
+
+    def joined(self) -> tuple[IntMatrix, FloatMatrix]:
+        """The chain set and its oriented matrix."""
+        return self.chains(), self.oriented()
+
+    def _side_relations(self) -> tuple[Relation, Relation]:
+        return self.relations[0], self.relations[-1]
 
     def sorted_oriented(self) -> FloatMatrix:
         """The oriented matrix pre-sorted for early-exit dominance checks."""
@@ -859,67 +900,6 @@ class CascadePlan:
                     matrix = cascade_oriented(self.relations, candidates, self.aggregate)
                     self._pruned_candidates[k] = (candidates, matrix)
         return self._pruned_candidates[k]
-
-    # ------------------------------------------------------------------
-    # Dominance indexes (repro.core.index)
-    # ------------------------------------------------------------------
-    def side_index(self, side: str) -> tuple[DominanceIndex, bool]:
-        """Plan-local dominance index over the first or last relation.
-
-        Cascades are bucketed by their end-point relations (chains are
-        enumerated first-relation-major, and the last relation is the
-        other independent axis). ``side`` is ``"first"`` or ``"last"``;
-        returns ``(index, built_now)`` like :meth:`JoinPlan.side_index`.
-        """
-        if side not in ("first", "last"):
-            raise ParameterError(f"side must be 'first' or 'last', got {side!r}")
-        index = self._side_indexes.get(side)
-        if index is not None:
-            return index, False
-        with self._memo_lock:
-            index = self._side_indexes.get(side)
-            if index is not None:
-                return index, False
-            from .index import DominanceIndex
-
-            relation = self.relations[0] if side == "first" else self.relations[-1]
-            index = DominanceIndex.build(relation)
-            self._side_indexes[side] = index
-            return index, True
-
-    def peek_side_index(self, side: str) -> DominanceIndex | None:
-        """The plan-local index for ``side`` if already built (no build)."""
-        return self._side_indexes.get(side)
-
-    def drop_side_indexes(self) -> None:
-        """Forget the plan-local side indexes and derived partitions
-        (resilience quarantine; see :meth:`JoinPlan.drop_side_indexes`)."""
-        with self._memo_lock:
-            self._side_indexes = {}
-            self._cell_partitions = {}
-
-    def cell_partition(
-        self, first_index: DominanceIndex, last_index: DominanceIndex
-    ) -> CellPartition:
-        """Joined-cell partition of the chain set by its end-point cells
-        (memoized by index tokens; see :meth:`JoinPlan.cell_partition`)."""
-        key = (first_index.token, last_index.token)
-        partition = self._cell_partitions.get(key)
-        if partition is None:
-            with self._memo_lock:
-                partition = self._cell_partitions.get(key)
-                if partition is None:
-                    from .index import CellPartition, joined_cell_ids
-
-                    chains = self.chains()
-                    partition = CellPartition(
-                        self.oriented(),
-                        joined_cell_ids(
-                            first_index, last_index, chains[:, 0], chains[:, -1]
-                        ),
-                    )
-                    self._cell_partitions[key] = partition
-        return partition
 
     def stats(self) -> CascadeStats:
         """Exact chain-count statistics without materializing the chains."""

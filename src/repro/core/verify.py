@@ -1,62 +1,32 @@
-"""Candidate verification helpers shared by the optimized algorithms.
+"""Verification helpers shared by the exact paths.
 
-A candidate joined tuple survives iff no join-compatible pair drawn from
-its components' target sets k-dominates it. The candidate pair itself is
-always inside its own target join; that is harmless because a tuple is
-never strictly better than itself (k-dominance requires one strictly
-better attribute), and duplicated attribute vectors legitimately do not
-dominate each other.
+A candidate survives iff no row of the full joined matrix k-dominates
+it — never just the surviving candidates, since k-dominance is
+non-transitive. A row is never strictly better than itself, so
+checking a candidate against a matrix that contains it is harmless.
+:func:`sort_rows_for_early_exit` orders that matrix so the blocked
+scans exit early; :func:`checkpointed_skyline` is the
+deadline-cancellable two-scan skyline of the naive runners.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-
-
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..relational.join import JoinedView
 from ..serving.deadline import DEFAULT_CHECK_INTERVAL, Deadline
-from ..skyline.dominance import is_k_dominated, k_dominated_any
+from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
-from .plan import JoinPlan
 
 if TYPE_CHECKING:
-    from .._typing import FloatMatrix, FloatVector, IntVector
+    from .._typing import FloatMatrix, IntVector
 
 __all__ = [
     "checkpointed_skyline",
-    "dominated_by_target_join",
-    "dominated_in_matrix",
     "sort_rows_for_early_exit",
 ]
-
-
-def dominated_by_target_join(
-    plan: JoinPlan,
-    view: JoinedView,
-    tuple_vec: FloatVector,
-    left_target_rows: Sequence[int],
-    right_target_rows: Sequence[int],
-    k: int,
-) -> bool:
-    """Is the oriented joined tuple dominated within the target join?
-
-    Enumerates the join-compatible pairs of the two target row sets,
-    materializes their oriented joined vectors and tests k-dominance.
-    """
-    candidates = plan.compatible_pairs(left_target_rows, right_target_rows)
-    if candidates.shape[0] == 0:
-        return False
-    matrix = view.oriented_for_pairs(candidates)
-    return is_k_dominated(matrix, tuple_vec, k)
-
-
-def dominated_in_matrix(matrix: FloatMatrix, tuple_vec: FloatVector, k: int) -> bool:
-    """Is the tuple k-dominated by any row of a precomputed joined matrix?"""
-    return is_k_dominated(matrix, tuple_vec, k)
 
 
 def sort_rows_for_early_exit(matrix: FloatMatrix) -> FloatMatrix:

@@ -23,7 +23,6 @@ from .kdominant import (
     k_dominant_skyline,
     k_dominant_skyline_block,
     k_dominant_skyline_naive,
-    k_dominant_skyline_osa,
     k_dominant_skyline_tsa,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "k_dominant_skyline",
     "k_dominant_skyline_block",
     "k_dominant_skyline_naive",
-    "k_dominant_skyline_osa",
     "k_dominant_skyline_tsa",
     "k_dominated_any",
     "k_dominates",

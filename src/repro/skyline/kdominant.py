@@ -17,15 +17,8 @@ Implemented methods:
   points, so scan 2 re-verifies every candidate against the full data.
   Points are presorted by attribute sum, which makes strong tuples act
   as candidates early and keeps the candidate set small.
-* ``osa`` — One-Scan Algorithm. Alongside the k-dominant candidates it
-  maintains the *classic* skyline of everything seen, which is a
-  sufficient witness set: if q k-dominates t and q0 classically
-  dominates q, then q0 also k-dominates t (component-wise, q0's
-  better-or-equal set contains q's). Hence checking a new point against
-  the maintained classic skyline decides k-domination by *all* seen
-  points, and no second scan is needed — at the memory cost of keeping
-  the (possibly large) classic skyline, exactly the trade-off reported
-  by Chan et al.
+* ``block`` — the two scans of TSA as vectorized matrix-block
+  broadcasts; the kernel of the sharded exact pipeline.
 
 All return sorted row indices of the k-dominant skyline members.
 """
@@ -184,68 +177,14 @@ def k_dominant_skyline_block(matrix: FloatMatrix, k: int, block: int = 512) -> l
     return [int(c) for c in candidates[~dominated]]
 
 
-def k_dominant_skyline_osa(matrix: FloatMatrix, k: int) -> list[int]:
-    """One-Scan Algorithm for the k-dominant skyline."""
-    matrix = _validate(matrix, k)
-    n = matrix.shape[0]
-    if n == 0:
-        return []
-
-    candidates: list[int] = []  # k-dominant skyline of seen points
-    witnesses: list[int] = []  # classic skyline of seen points
-    for idx in range(n):
-        row = matrix[idx]
-
-        # Evict candidates the newcomer k-dominates (it may do so even
-        # if it is itself k-dominated — non-transitivity).
-        if candidates:
-            cand = matrix[candidates]
-            boe_rev = np.count_nonzero(row <= cand, axis=1)
-            strict_rev = (row < cand).any(axis=1)
-            keep = ~((boe_rev >= k) & strict_rev)
-            if not keep.all():
-                candidates = [c for c, kp in zip(candidates, keep) if kp]
-
-        # The classic skyline of the seen prefix decides k-domination by
-        # ANY seen point (classic dominators inherit k-dominance).
-        dominated_k = False
-        if witnesses:
-            wit = matrix[witnesses]
-            boe = np.count_nonzero(wit <= row, axis=1)
-            strict = (wit < row).any(axis=1)
-            dominated_k = bool(((boe >= k) & strict).any())
-        if not dominated_k:
-            candidates.append(idx)
-
-        # Maintain the classic-skyline witness set (BNL step).
-        if witnesses:
-            wit = matrix[witnesses]
-            dominated_full = bool(
-                ((np.count_nonzero(wit <= row, axis=1) == matrix.shape[1])
-                 & (wit < row).any(axis=1)).any()
-            )
-            if not dominated_full:
-                boe_rev = np.count_nonzero(row <= wit, axis=1)
-                strict_rev = (row < wit).any(axis=1)
-                keep = ~((boe_rev == matrix.shape[1]) & strict_rev)
-                witnesses = [w for w, kp in zip(witnesses, keep) if kp]
-                witnesses.append(idx)
-        else:
-            witnesses.append(idx)
-    return sorted(candidates)
-
-
 def k_dominant_skyline(matrix: FloatMatrix, k: int, method: str = "tsa") -> list[int]:
-    """Compute the k-dominant skyline; ``method`` in {"tsa", "osa", "block",
-    "naive"}."""
+    """Compute the k-dominant skyline; ``method`` in {"tsa", "block", "naive"}."""
     if method == "tsa":
         return k_dominant_skyline_tsa(matrix, k)
-    if method == "osa":
-        return k_dominant_skyline_osa(matrix, k)
     if method == "block":
         return k_dominant_skyline_block(matrix, k)
     if method == "naive":
         return k_dominant_skyline_naive(matrix, k)
     raise ParameterError(
-        f"unknown k-dominant method {method!r} (use 'tsa', 'osa', 'block' or 'naive')"
+        f"unknown k-dominant method {method!r} (use 'tsa', 'block' or 'naive')"
     )

@@ -2,7 +2,7 @@
 
 import warnings
 
-from repro.api import Engine, choose_algorithm
+from repro.api import Engine, QuerySpec, choose_algorithm
 from repro.core.plan import JoinPlan
 from repro.errors import SoundnessWarning
 from repro.relational import Relation
@@ -87,6 +87,24 @@ class TestExplainReport:
             report = eng.query(left, right).k(5).explain()
             result = eng.query(left, right).k(5).run()
             assert result.algorithm == report.algorithm
+        # Cascades, index and worker knobs, non-strict aggregates and
+        # every explicit preset go through the same choice.
+        left, right = make_random_pair(seed=40, n=40, d=4, g=4)
+        third, _ = make_random_pair(seed=41, n=20, d=4, g=4)
+        agg_left, agg_right = make_random_pair(seed=44, n=30, d=4, g=3, a=1)
+        cases = [
+            ((left, right), QuerySpec.for_ksjq(k=7, use_index=True)),
+            ((agg_left, agg_right), QuerySpec.for_ksjq(k=6, aggregate="max", parallelism=2)),
+            ((left, right), QuerySpec.for_ksjq(k=7, join="cartesian", algorithm="cartesian")),
+        ]
+        for algorithm in ("naive", "grouping", "dominator", "parallel", "indexed"):
+            cases.append(((left, right), QuerySpec.for_ksjq(k=7, algorithm=algorithm)))
+        for algorithm in ("auto", "naive", "pruned", "parallel", "indexed"):
+            cases.append(((left, right, third), QuerySpec.for_cascade(k=10, algorithm=algorithm)))
+        for inputs, spec in cases:
+            eng = Engine()
+            report = eng.explain(*inputs, spec)
+            assert eng.execute(*inputs, spec).algorithm == report.algorithm, spec
 
     def test_non_monotone_aggregate_runs_naive_instead_of_raising(self):
         left, right = make_random_pair(seed=47, n=10, d=4, g=3, a=1)

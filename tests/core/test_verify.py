@@ -2,15 +2,7 @@
 
 import numpy as np
 
-from repro.core import JoinPlan
-from repro.core.verify import (
-    dominated_by_target_join,
-    dominated_in_matrix,
-    sort_rows_for_early_exit,
-)
-from repro.relational.join import JoinedView
-
-from ..helpers import make_random_pair
+from repro.core.verify import sort_rows_for_early_exit
 
 
 class TestSortRowsForEarlyExit:
@@ -28,63 +20,3 @@ class TestSortRowsForEarlyExit:
         matrix = rng.uniform(size=(20, 3))
         out = sort_rows_for_early_exit(matrix)
         assert sorted(map(tuple, matrix.tolist())) == sorted(map(tuple, out.tolist()))
-
-
-class TestDominatedInMatrix:
-    def test_basic(self):
-        matrix = np.array([[1.0, 1.0], [5.0, 5.0]])
-        assert dominated_in_matrix(matrix, np.array([2.0, 2.0]), 2)
-        assert not dominated_in_matrix(matrix, np.array([0.0, 0.0]), 2)
-
-
-class TestDominatedByTargetJoin:
-    def test_detects_domination_via_compatible_pair(self):
-        left, right = make_random_pair(seed=90, n=10, d=3, g=2, a=0)
-        plan = JoinPlan(left, right)
-        view = JoinedView(left, right, np.empty((0, 2), dtype=np.intp))
-        full = plan.view()
-        joined = full.oriented()
-        k = 4
-        # Find a genuinely dominated joined tuple, then confirm the
-        # helper detects it when handed the complete row sets.
-        from repro.skyline import is_k_dominated
-
-        for pos in range(len(full)):
-            if is_k_dominated(joined, joined[pos], k):
-                assert dominated_by_target_join(
-                    plan,
-                    view,
-                    joined[pos],
-                    range(len(left)),
-                    range(len(right)),
-                    k,
-                )
-                break
-        else:
-            raise AssertionError("expected at least one dominated tuple")
-
-    def test_empty_targets_mean_undominated(self):
-        left, right = make_random_pair(seed=91, n=8, d=3, g=2, a=0)
-        plan = JoinPlan(left, right)
-        view = JoinedView(left, right, np.empty((0, 2), dtype=np.intp))
-        vec = np.zeros(6)
-        assert not dominated_by_target_join(plan, view, vec, [], [0, 1], 4)
-
-    def test_self_pair_does_not_self_dominate(self):
-        left, right = make_random_pair(seed=92, n=8, d=3, g=2, a=0)
-        plan = JoinPlan(left, right)
-        view = JoinedView(left, right, np.empty((0, 2), dtype=np.intp))
-        full = plan.view()
-        joined = full.oriented()
-        from repro.skyline import is_k_dominated
-
-        k = 4
-        for pos in range(len(full)):
-            if not is_k_dominated(joined, joined[pos], k):
-                u, v = map(int, full.pairs[pos])
-                # Target sets containing only the tuple's own components
-                # must not report domination.
-                assert not dominated_by_target_join(
-                    plan, view, joined[pos], [u], [v], k
-                )
-                break

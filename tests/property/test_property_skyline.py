@@ -39,18 +39,6 @@ def test_tsa_equals_naive_for_all_k(matrix):
 
 @given(matrices)
 @settings(max_examples=80)
-def test_osa_equals_naive_for_all_k(matrix):
-    from repro.skyline import k_dominant_skyline_osa
-
-    d = matrix.shape[1]
-    for k in range(1, d + 1):
-        assert k_dominant_skyline_osa(matrix, k) == (
-            k_dominant_skyline_naive(matrix, k)
-        )
-
-
-@given(matrices)
-@settings(max_examples=80)
 def test_skyline_members_are_exactly_undominated(matrix):
     d = matrix.shape[1]
     for k in (max(1, d - 1), d):

@@ -155,6 +155,50 @@ def test_engine_partial_is_subset_and_rerun_is_exact(algorithm, parallelism):
     assert engine.execute(left, right, spec=spec).pair_set() == exact
 
 
+@pytest.mark.parametrize("preset", ["parallel", "indexed"])
+def test_sharded_presets_stop_scanning_candidates_at_expiry(preset, monkeypatch):
+    """Candidate generation is cancellable: under a deadline the
+    sharded presets scan their partition in waves of small chunks, so
+    expiry at the second check leaves most rows unscanned."""
+    from repro.core import JoinPlan, parallel
+    from repro.core.index import run_indexed
+    from repro.core.parallel import ShardPlan, run_parallel
+    from repro.core.verify import DEADLINE_SCAN_CHUNK
+
+    left, right = make_random_pair(
+        seed=5, n=160, d=4, g=3, levels=16, distribution="anticorrelated"
+    )
+    plan = JoinPlan(left, right)
+    k = 8
+    shards = ShardPlan(2, plan.stats().join_size, "thread", "test")
+    if preset == "parallel":
+        rows = plan.stats().join_size
+
+        def run():
+            return run_parallel(plan, k, shards=shards)
+    else:
+        first, _ = plan.side_index("left")
+        last, _ = plan.side_index("right")
+        cells = plan.cell_partition(first, last)
+        rows = int(cells.cell_counts[~cells.pruned_cells(k)].sum())
+
+        def run():
+            return run_indexed(plan, k, first, last, shards=shards)
+    assert rows > 2 * shards.n_shards * DEADLINE_SCAN_CHUNK, "fixture too small"
+
+    scanned = []
+    kernel = parallel.k_dominant_candidates_block
+
+    def counting_kernel(matrix, k, *args, **kwargs):
+        scanned.append(matrix.shape[0])
+        return kernel(matrix, k, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "k_dominant_candidates_block", counting_kernel)
+    with Deadline(2, clock=counting_clock()).activate(), pytest.raises(DeadlineExceeded):
+        run()
+    assert 0 < sum(scanned) < rows
+
+
 def test_cascade_partial_is_subset_and_rerun_is_exact():
     r1, r2 = make_random_pair(seed=9, n=30, d=4, g=3)
     r3, _ = make_random_pair(seed=11, n=30, d=4, g=3)

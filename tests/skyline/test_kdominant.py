@@ -91,51 +91,10 @@ class TestTSA:
         assert k_dominant_skyline_tsa(np.empty((0, 2)), 1) == []
 
 
-class TestOSA:
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("k_offset", [0, 1, 2])
-    def test_matches_naive(self, seed, k_offset):
-        from repro.skyline import k_dominant_skyline_osa
-
-        rng = np.random.default_rng(seed + 500)
-        d = 5
-        matrix = np.floor(rng.uniform(0, 5, size=(60, d)))
-        k = d - k_offset
-        assert k_dominant_skyline_osa(matrix, k) == (
-            k_dominant_skyline_naive(matrix, k)
-        )
-
-    def test_witness_inheritance_case(self):
-        from repro.skyline import k_dominant_skyline_osa
-
-        # q = (1,1,5) is classically dominated by q0 = (0,0,4); the
-        # witness set drops q, but q0 must still 2-dominate what q
-        # would have (t = (2,2,0)).
-        q0 = [0.0, 0.0, 4.0]
-        q = [1.0, 1.0, 5.0]
-        t = [2.0, 2.0, 0.0]
-        matrix = np.array([q0, q, t])
-        assert k_dominant_skyline_osa(matrix, 2) == (
-            k_dominant_skyline_naive(matrix, 2)
-        )
-
-    def test_cycle(self):
-        from repro.skyline import k_dominant_skyline_osa
-
-        matrix = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
-        assert k_dominant_skyline_osa(matrix, 2) == []
-
-    def test_empty(self):
-        from repro.skyline import k_dominant_skyline_osa
-
-        assert k_dominant_skyline_osa(np.empty((0, 2)), 1) == []
-
-
 class TestFacade:
     def test_dispatch(self):
         matrix = np.array([[1.0, 1.0], [2.0, 2.0]])
         assert k_dominant_skyline(matrix, 2, "tsa") == [0]
-        assert k_dominant_skyline(matrix, 2, "osa") == [0]
         assert k_dominant_skyline(matrix, 2, "naive") == [0]
 
     def test_unknown_method(self):
