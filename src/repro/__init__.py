@@ -149,7 +149,7 @@ from .relational import (
     ThetaOp,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "AdmissionRejected",

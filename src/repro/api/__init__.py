@@ -31,18 +31,11 @@ The legacy ``repro.ksjq`` / ``repro.find_k`` functions remain supported
 as thin wrappers over a module-default engine.
 """
 
+from ..core.cost import choose_algorithm
 from ..core.incremental import MaintainedResult
 from .builder import QueryBuilder
 from .catalog import Catalog
-from .engine import (
-    CacheStats,
-    Engine,
-    ExplainReport,
-    MaintenanceStats,
-    PlanCacheStats,
-    choose_algorithm,
-    choose_cascade_algorithm,
-)
+from .engine import CacheStats, Engine, ExplainReport, MaintenanceStats
 from .handle import QueryHandle
 from .spec import QuerySpec
 
@@ -53,10 +46,8 @@ __all__ = [
     "ExplainReport",
     "MaintainedResult",
     "MaintenanceStats",
-    "PlanCacheStats",
     "QueryBuilder",
     "QueryHandle",
     "QuerySpec",
     "choose_algorithm",
-    "choose_cascade_algorithm",
 ]

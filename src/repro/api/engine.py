@@ -13,10 +13,10 @@ One engine surface serves every join shape the paper describes: the
 two-way equality/cartesian/theta joins *and* the m-way cascades of
 Sec. 2.3 (``engine.query(r1, r2, r3).hop("dest", "source")...``).
 
-``algorithm="auto"`` is resolved here by :func:`choose_algorithm` (two
-way) or :func:`choose_cascade_algorithm` (m-way), cost models over the
-plans' exact cardinality statistics instead of the seed's hard-wired
-defaults. The same cost model decides **serial versus sharded
+``algorithm="auto"`` is resolved by
+:func:`~repro.core.cost.choose_algorithm`, one cost model over either
+plan kind's exact cardinality statistics instead of the seed's
+hard-wired defaults. The same cost model decides **serial versus sharded
 parallel** execution: when the spec's ``parallelism`` admits workers
 (``"auto"`` on a multi-core machine, or an explicit worker count), the
 sharded two-phase path of :mod:`repro.core.parallel` competes on cost
@@ -44,7 +44,6 @@ The engine is also the serving front-end over a
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -54,12 +53,8 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, cast
 
 from ..core.cartesian import run_cartesian
-from ..core.cascade import (
-    CascadeResult,
-    cascade_progressive,
-    run_cascade_naive,
-    run_cascade_pruned,
-)
+from ..core.cascade import cascade_progressive, run_cascade_naive, run_cascade_pruned
+from ..core.cost import choose_algorithm, find_k_costs
 from ..core.dominator import run_dominator
 from ..core.find_k import find_k_at_least_delta, find_k_at_most_delta
 from ..core.grouping import run_grouping
@@ -67,7 +62,6 @@ from ..core.incremental import DEFAULT_FALLBACK_RATIO
 from ..core.index import run_cascade_indexed, run_indexed
 from ..core.naive import run_naive
 from ..core.parallel import (
-    WORKER_SPAWN_COST,
     ShardPlan,
     batch_workers,
     plan_shards,
@@ -76,7 +70,7 @@ from ..core.parallel import (
 )
 from ..core.plan import CascadePlan, CascadeStats, JoinPlan, PlanStats
 from ..core.progressive import ksjq_progressive
-from ..core.result import FindKResult, KSJQResult, QueryResult
+from ..core.result import CascadeResult, FindKResult, KSJQResult, QueryResult
 from ..errors import AlgorithmError, DeadlineExceeded, ParameterError
 from ..relational.aggregates import AggregateFunction, get_aggregate
 from ..relational.dataset import Dataset
@@ -101,178 +95,7 @@ __all__ = [
     "ExplainReport",
     "CacheStats",
     "MaintenanceStats",
-    "PlanCacheStats",
-    "choose_algorithm",
-    "choose_cascade_algorithm",
 ]
-
-
-# ----------------------------------------------------------------------
-# Cost-based algorithm choice
-# ----------------------------------------------------------------------
-def _parallel_cost(join_size: float, workers: int) -> float:
-    """Estimated cost of the sharded path at a given worker count.
-
-    Per-shard candidate generation is ``(J/W)^2`` comparisons on each of
-    ``W`` concurrent workers plus a sub-quadratic cross-shard merge, so
-    the wall-clock estimate is ``J^2/W^2 + J*sqrt(J)/W``, charged a
-    spawn overhead per worker.
-    """
-    J, W = join_size, float(workers)
-    return WORKER_SPAWN_COST * W + (J * J) / (W * W) + J * math.sqrt(J) / W
-
-
-def choose_algorithm(
-    plan: JoinPlan,
-    mode: str = "faithful",
-    workers: int = 1,
-    index_state: str | None = None,
-    index_span: float | None = None,
-) -> tuple[str, dict[str, float], str]:
-    """Pick the cheapest applicable algorithm for a two-way plan.
-
-    Returns ``(algorithm, costs, reason)`` where ``costs`` maps every
-    candidate algorithm to its estimated cost in abstract dominance-
-    comparison units, derived from :meth:`JoinPlan.stats`:
-
-    * ``naive`` — every joined tuple against the full joined view:
-      ``J^2`` for join size ``J``;
-    * ``grouping`` — categorization (sum of squared group sizes, both
-      sides) plus sub-quadratic verification, modeled as ``C + J*sqrt(J)``;
-    * ``dominator`` — categorization plus a second group-local pass to
-      generate dominators, with verification against per-cell dominators
-      only: ``2C + J * mean_cell``;
-    * ``cartesian`` — fate-table only, no verification: ``C + J``
-      (cartesian join kind only, where it is always chosen);
-    * ``parallel`` — the sharded two-phase path (candidate generation
-      per shard + cross-shard verification), considered only when
-      ``workers > 1``: ``spawn*W + J^2/W^2 + J*sqrt(J)/W``;
-    * ``indexed`` — the cell-pruned exact path, considered only when
-      the caller reports an index state (``index_state`` of ``"warm"``
-      or ``"cold"``, with the indexes' mean cell span as the
-      selectivity signal): :meth:`PlanStats.indexed_cost`. The engine
-      passes ``"warm"`` for auto specs whose side indexes already
-      exist and ``None`` otherwise (see ``_choose``), so a cold
-      build never wins auto by surprise.
-
-    Feasibility trumps cost: a non-strictly-monotone aggregate restricts
-    the choice to the exact algorithms (``naive``, ``indexed``, and
-    ``parallel`` when workers are available — all work on the
-    materialized joined view and never rely on monotonicity), and in
-    faithful mode with ``a >= 2`` the always-exact exact-family
-    algorithms are excluded so auto stays within the paper-faithful
-    answer family.
-    """
-    stats = plan.stats()
-    J = float(stats.join_size)
-    C = float(stats.categorization_cost)
-
-    if plan.aggregate is not None and not plan.aggregate.strictly_monotone:
-        costs = {"naive": J * J}
-        if workers > 1:
-            costs["parallel"] = _parallel_cost(J, workers)
-        if index_state is not None:
-            costs["indexed"] = stats.indexed_cost(index_state, index_span)
-        chosen = min(costs, key=lambda name: (costs[name], name))
-        return (
-            chosen,
-            costs,
-            f"aggregate {plan.aggregate.name!r} is not strictly monotone; "
-            "only the exact joined-view algorithms apply",
-        )
-
-    if plan.kind == "cartesian":
-        costs = {"cartesian": C + J, "naive": J * J}
-        return (
-            "cartesian",
-            costs,
-            "cartesian join: the fate table decides every pair with no "
-            "verification",
-        )
-
-    costs: dict[str, float] = {
-        "grouping": C + J * math.sqrt(J),
-        "dominator": 2.0 * C + J * stats.mean_cell_size,
-    }
-    a = plan.left.schema.a
-    exact_family_ok = mode == "exact" or a < 2
-    if exact_family_ok:
-        costs["naive"] = J * J
-        if workers > 1:
-            costs["parallel"] = _parallel_cost(J, workers)
-        if index_state is not None:
-            costs["indexed"] = stats.indexed_cost(index_state, index_span)
-    chosen = min(costs, key=lambda name: (costs[name], name))
-    reason = (
-        f"cheapest estimated cost over join size {stats.join_size} "
-        f"({stats.shared_group_count} shared groups, categorization cost "
-        f"{stats.categorization_cost})"
-    )
-    if not exact_family_ok:
-        reason += (
-            "; exact family (naive/parallel/indexed) excluded: "
-            "faithful mode with a >= 2 aggregates"
-        )
-    return chosen, costs, reason
-
-
-def choose_cascade_algorithm(
-    plan: CascadePlan,
-    mode: str = "faithful",
-    workers: int = 1,
-    index_state: str | None = None,
-    index_span: float | None = None,
-) -> tuple[str, dict[str, float], str]:
-    """Pick the cheapest applicable algorithm for an m-way cascade plan.
-
-    The m-way analogue of :func:`choose_algorithm` over
-    :meth:`CascadePlan.stats` (exact chain count ``S``, Theorem-4
-    grouping cost ``C``):
-
-    * ``naive`` — every chain against the full chain set: ``S^2``;
-    * ``pruned`` — per-relation Theorem-4 pruning plus sub-quadratic
-      verification of the surviving candidates: ``C + S*sqrt(S)``;
-    * ``parallel`` — the sharded two-phase path over the chain set,
-      considered only when ``workers > 1``;
-    * ``indexed`` — end-point cell pruning over the chain set,
-      considered only when the engine reports an index state:
-      :meth:`CascadeStats.indexed_cost`.
-
-    A non-strictly-monotone aggregate restricts the choice to the exact
-    chain-set algorithms — ``naive``, and ``parallel`` when workers are
-    available (the m-way substitution proof behind ``pruned`` needs
-    strict monotonicity; the direct algorithms do not). All cascade
-    algorithms are exact, so ``mode`` never constrains the choice.
-    """
-    stats = plan.stats()
-    S = float(stats.join_size)
-    C = float(stats.categorization_cost)
-
-    if plan.aggregate is not None and not plan.aggregate.strictly_monotone:
-        costs = {"naive": S * S}
-        if workers > 1:
-            costs["parallel"] = _parallel_cost(S, workers)
-        if index_state is not None:
-            costs["indexed"] = stats.indexed_cost(index_state, index_span)
-        chosen = min(costs, key=lambda name: (costs[name], name))
-        return (
-            chosen,
-            costs,
-            f"aggregate {plan.aggregate.name!r} is not strictly monotone; "
-            "only the exact chain-set cascades apply",
-        )
-    costs = {"naive": S * S, "pruned": C + S * math.sqrt(S)}
-    if workers > 1:
-        costs["parallel"] = _parallel_cost(S, workers)
-    if index_state is not None:
-        costs["indexed"] = stats.indexed_cost(index_state, index_span)
-    chosen = min(costs, key=lambda name: (costs[name], name))
-    reason = (
-        f"cheapest estimated cost over {stats.join_size} chains across "
-        f"{stats.n_relations} relations (Theorem-4 grouping cost "
-        f"{stats.categorization_cost})"
-    )
-    return chosen, costs, reason
 
 
 @dataclass(frozen=True)
@@ -397,10 +220,6 @@ class CacheStats:
             "invalidations": self.invalidations,
             "requests": self.requests,
         }
-
-
-#: Backwards-compatible alias (pre-1.2 name of :class:`CacheStats`).
-PlanCacheStats = CacheStats
 
 
 @dataclass
@@ -1312,7 +1131,7 @@ class Engine:
         if isinstance(plan, CascadePlan):
             algorithm = spec.algorithm
             if algorithm == "auto":
-                algorithm, _, _ = choose_cascade_algorithm(plan, spec.mode)
+                algorithm = choose_algorithm(plan, spec.mode)[0]
             stream = cascade_progressive(plan, spec.k, algorithm=algorithm)
         else:
             if spec.mode != "faithful":
@@ -1353,24 +1172,8 @@ class Engine:
             if algorithm == "indexed":
                 shards = replace(shards, partition="cells")
         else:
-            # find_k: cost = expected number of probe points per method.
-            d1, d2 = plan.left.schema.d, plan.right.schema.d
-            a = plan.left.schema.a
-            k_min = max(d1, d2) + 1
-            k_max = (d1 - a) + (d2 - a) + a
-            span = max(1, k_max - k_min + 1)
             algorithm = spec.method
-            costs = {
-                "naive": float(span),
-                "range": float(span),
-                "binary": float(math.ceil(math.log2(span)) + 1),
-            }
-            reason = f"{spec.method} search over k in [{k_min}, {k_max}]" + (
-                "; range/binary short-circuit full evaluations via "
-                "categorization bounds"
-                if spec.method != "naive"
-                else "; every probe is a full evaluation"
-            )
+            costs, reason = find_k_costs(plan, spec.method)
         if spec.problem != "ksjq":
             index = "not applicable (find_k probe evaluations run the serial faithful path)"
         elif index_state is None:
@@ -1457,10 +1260,7 @@ def _choose(
     """
     auto = spec.algorithm == "auto" and spec.use_index is not True
     state = None if auto and index_state != "warm" else index_state
-    if isinstance(plan, CascadePlan):
-        choice = choose_cascade_algorithm(plan, spec.mode, shards.workers, state, index_span)
-    else:
-        choice = choose_algorithm(plan, spec.mode, shards.workers, state, index_span)
+    choice = choose_algorithm(plan, spec.mode, shards.workers, state, index_span)
     if auto:
         return choice
     if spec.algorithm == "auto":

@@ -44,8 +44,8 @@ relations reuse the engine's cached
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
@@ -55,16 +55,16 @@ from ..relational.join import HopSpec, theta_conjunction_mask
 from ..relational.relation import Relation
 from ..serving.deadline import DEFAULT_CHECK_INTERVAL, active_deadline
 from ..skyline.dominance import is_k_dominated
-from ..skyline.kdominant import k_dominant_skyline
-from .result import QueryResult
-from .timing import PhaseClock, TimingBreakdown
-from .verify import checkpointed_skyline
+from .cost import choose_algorithm
+from .naive import _naive
+from .result import CascadeResult
+from .timing import PhaseClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from collections.abc import Callable
 
     from .._typing import AggregateLike, FloatMatrix, FloatVector, HopsLike, IntMatrix, IntVector
-    from ..api.engine import Engine
+    from ..api import Engine
     from .plan import CascadePlan
 
 __all__ = [
@@ -194,51 +194,6 @@ def validate_hops(relations: Sequence[Relation], hops: Sequence[HopSpec]) -> Non
                 )
 
 
-@dataclass(frozen=True)
-class CascadeResult(QueryResult):
-    """Answer of an m-way cascade KSJQ."""
-
-    k: int
-    chains: IntMatrix  # (s x m) array of skyline chains
-    total_chains: int
-    pruned_rows: int
-    algorithm: str
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-    spec: Any | None = field(default=None, compare=False, repr=False)
-    source: Any | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def count(self) -> int:
-        return int(self.chains.shape[0])
-
-    def chain_set(self) -> frozenset:
-        return frozenset(tuple(int(x) for x in row) for row in self.chains)
-
-    def _source_relations(self) -> Sequence[Relation]:
-        source = self._require_source()
-        relations = getattr(source, "relations", source)
-        return tuple(relations)
-
-    def to_records(self) -> list[dict[str, object]]:
-        """Skyline chains as dicts: per-relation columns prefixed ``r{i}.``.
-
-        Prefixes are one-based (``r1.``, ``r2.``, ...), matching the
-        two-way :meth:`KSJQResult.to_records` layout. Needs the source
-        plan or relations (attached when the cascade runs through an
-        :class:`repro.api.Engine`).
-        """
-        relations = self._source_relations()
-        records: list[dict[str, object]] = []
-        for chain in self.chains:
-            rec: dict[str, object] = {}
-            for i, (rel, row) in enumerate(zip(relations, chain), start=1):
-                rec[f"r{i}._row"] = int(row)
-                for name, value in rel.record(int(row)).items():
-                    rec[f"r{i}.{name}"] = value
-            records.append(rec)
-        return records
-
-
 def _partner_lookup(
     left_rel: Relation,
     right_rel: Relation,
@@ -361,31 +316,18 @@ def theta_weight_sums(
     """Per-left-row sums of right-row ``weights`` over one theta hop.
 
     The chain-count DP building block for theta hops: with unit weights
-    this counts partners. Single conditions use a sort + prefix-sum
+    this counts partners. Single conditions use a sort + prefix-sum over
+    :meth:`~repro.relational.groups.ThetaOp.partner_ranges`
     (O((n+m) log m)); conjunctions fall back to per-row masks.
     """
     if len(hop.theta) == 1:
-        from ..relational.groups import ThetaOp
-
         cond = hop.theta[0]
         lvals = np.asarray(left_rel.column(cond.left_attr), dtype=np.float64)
         rvals = np.asarray(right_rel.column(cond.right_attr), dtype=np.float64)
         order = np.argsort(rvals, kind="stable")
-        rsorted = rvals[order]
         prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
-        out = np.empty(len(left_rel), dtype=np.float64)
-        for i, value in enumerate(lvals):
-            if cond.op is ThetaOp.LT:
-                lo = int(np.searchsorted(rsorted, value, side="right"))
-                out[i] = prefix[-1] - prefix[lo]
-            elif cond.op is ThetaOp.LE:
-                lo = int(np.searchsorted(rsorted, value, side="left"))
-                out[i] = prefix[-1] - prefix[lo]
-            elif cond.op is ThetaOp.GT:
-                out[i] = prefix[int(np.searchsorted(rsorted, value, side="left"))]
-            else:
-                out[i] = prefix[int(np.searchsorted(rsorted, value, side="right"))]
-        return out
+        lo, hi = cond.op.partner_ranges(lvals, rvals[order])
+        return prefix[hi] - prefix[lo]
     left_cols = [
         np.asarray(left_rel.column(c.left_attr), dtype=np.float64) for c in hop.theta
     ]
@@ -405,33 +347,9 @@ def theta_weight_sums(
 # Plan-based algorithm runners (consumed by repro.api.Engine)
 # ----------------------------------------------------------------------
 def run_cascade_naive(plan: "CascadePlan", k: int) -> CascadeResult:
-    """Algorithm ``naive``: full chain set, then the k-dominant skyline."""
-    plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        all_chains = plan.chains()
-        matrix = plan.oriented()
-    with clock.phase("remaining"):
-        deadline = active_deadline()
-        if deadline is not None:
-            skyline_idx = checkpointed_skyline(
-                matrix,
-                k,
-                deadline,
-                lambda survivors: tuple(
-                    tuple(int(x) for x in all_chains[i]) for i in survivors
-                ),
-            )
-        else:
-            skyline_idx = k_dominant_skyline(matrix, k)
-    return CascadeResult(
-        k=k,
-        chains=all_chains[skyline_idx],
-        total_chains=int(all_chains.shape[0]),
-        pruned_rows=0,
-        algorithm="naive",
-        timings=clock.freeze(),
-    )
+    """Algorithm ``naive``: full chain set, then the k-dominant skyline
+    (the two-way naive runner's body over the chains)."""
+    return cast("CascadeResult", _naive(plan, k))
 
 
 def run_cascade_pruned(plan: "CascadePlan", k: int) -> CascadeResult:
@@ -492,9 +410,7 @@ def cascade_progressive(
     """
     plan.params(k)
     if algorithm == "auto":
-        from ..api.engine import choose_cascade_algorithm
-
-        algorithm, _, _ = choose_cascade_algorithm(plan)
+        algorithm = choose_algorithm(plan)[0]
     if algorithm not in ("naive", "pruned"):
         raise ParameterError(
             f"progressive cascades support 'naive' and 'pruned', got "

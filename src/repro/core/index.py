@@ -56,16 +56,16 @@ import numpy as np
 
 from ..relational.relation import Relation
 from ..resilience import checkpoint
+from ..serving.deadline import active_deadline
 from ..skyline.dominance import cells_k_dominated
 from .parallel import _exact_pipeline
-from .verify import sort_rows_for_early_exit
+from .verify import DEADLINE_VERIFY_CHUNK, sort_rows_for_early_exit
 
 if TYPE_CHECKING:
     from .._typing import BoolVector, FloatMatrix, FloatVector, IntVector
-    from .cascade import CascadeResult
     from .parallel import ShardPlan
     from .plan import CascadePlan, JoinPlan
-    from .result import KSJQResult
+    from .result import CascadeResult, KSJQResult
 
 __all__ = [
     "DominanceIndex",
@@ -308,7 +308,7 @@ class CellPartition:
     under double-checked locking — lock-free fast-path reads, writes
     hold ``_lock``. ``candidates_by_k`` is filled by
     ``repro.core.parallel._sharded_skyline`` under this same lock
-    (passed as its ``memo_lock``), making warm repeated queries
+    (its :attr:`lock`), making warm repeated queries
     verification-only; ``survivors_by_k`` memoizes the *verified*
     answer rows per ``k`` (sound: a partition is derived from one
     immutable joined matrix — mutations produce new index tokens and
@@ -365,20 +365,29 @@ class CellPartition:
 
         Memoized per ``k``; the scan itself is one
         :func:`~repro.skyline.dominance.cells_k_dominated` pass of the
-        full joined matrix against the cell lower bounds.
+        full joined matrix against the cell lower bounds. Under an
+        active serving deadline the cells are scanned in chunks of
+        :data:`~repro.core.verify.DEADLINE_VERIFY_CHUNK` with a check
+        before each, and only a complete mask is memoized, so an
+        expired scan leaves nothing behind.
         """
         mask = self._pruned.get(k)
         if mask is None:
             with self._lock:
                 mask = self._pruned.get(k)
                 if mask is None:
-                    mask = cells_k_dominated(self.sorted_matrix(), self.cell_lb, k)
+                    matrix, deadline = self.sorted_matrix(), active_deadline()
+                    if deadline is None:
+                        mask = cells_k_dominated(matrix, self.cell_lb, k)
+                    else:
+                        chunks: list[BoolVector] = []
+                        for start in range(0, self.n_cells, DEADLINE_VERIFY_CHUNK):
+                            deadline.check()
+                            bounds = self.cell_lb[start : start + DEADLINE_VERIFY_CHUNK]
+                            chunks.append(cells_k_dominated(matrix, bounds, k))
+                        mask = np.concatenate(chunks) if chunks else np.zeros(0, dtype=bool)
                     self._pruned[k] = mask
         return mask
-
-    def has_candidates(self, k: int) -> bool:
-        """Did an earlier run already memoize the candidate superset?"""
-        return k in self.candidates_by_k
 
     def row_buckets(self, k: int, n_buckets: int) -> list[IntVector]:
         """Surviving rows at ``k``, grouped cell-whole into at most

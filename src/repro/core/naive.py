@@ -1,10 +1,12 @@
-"""Algorithm 1: the naïve KSJQ algorithm.
+"""Algorithm 1: the naïve KSJQ algorithm, for two-way joins and cascades.
 
 Materializes the complete join, then runs a standard k-dominant skyline
 computation over it (paper Sec. 6.1). Simple, always correct (it is the
 ground truth the optimized algorithms are tested against), but it pays
 the full join cost and the full skyline cost, and produces no results
-until the join finishes.
+until the join finishes. A cascade (Sec. 2.3) is the same algorithm
+over the chain set, so one body serves :func:`run_naive` and
+:func:`repro.core.cascade.run_cascade_naive`.
 
 Invariant relied on by the differential fuzz suite
 (``tests/property/test_property_index.py``): this runner never touches
@@ -22,14 +24,38 @@ partial answer.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import TYPE_CHECKING, cast
+
+import numpy as np
+
 from ..serving.deadline import active_deadline
 from ..skyline.kdominant import k_dominant_skyline
-from .plan import JoinPlan
-from .result import KSJQResult
+from .parallel import _answer, _row_tuples
 from .timing import PhaseClock
 from .verify import checkpointed_skyline
 
+if TYPE_CHECKING:
+    from .plan import CascadePlan, JoinPlan
+    from .result import CascadeResult, KSJQResult
+
 __all__ = ["run_naive"]
+
+
+def _naive(plan: JoinPlan | CascadePlan, k: int) -> KSJQResult | CascadeResult:
+    """Join, then the per-row two-scan (TSA) k-dominant skyline over
+    all joined rows (pairs or chains)."""
+    plan.params(k)
+    clock = PhaseClock()
+    with clock.phase("join"):
+        rows, matrix = plan.joined()
+    with clock.phase("remaining"):
+        deadline = active_deadline()
+        if deadline is None:
+            keep = np.asarray(k_dominant_skyline(matrix, k), dtype=np.intp)
+        else:
+            keep = checkpointed_skyline(matrix, k, deadline, partial(_row_tuples, rows))
+    return _answer(plan, k, "naive", rows, keep, 0, clock)
 
 
 def run_naive(plan: JoinPlan, k: int) -> KSJQResult:
@@ -43,29 +69,4 @@ def run_naive(plan: JoinPlan, k: int) -> KSJQResult:
     k:
         Number of joined skyline attributes a dominator must cover.
     """
-    params = plan.params(k)
-    clock = PhaseClock()
-    with clock.phase("join"):
-        view = plan.view()
-        matrix = view.oriented()
-    with clock.phase("remaining"):
-        deadline = active_deadline()
-        if deadline is not None:
-            skyline_idx = checkpointed_skyline(
-                matrix,
-                k,
-                deadline,
-                lambda survivors: tuple(
-                    (int(view.pairs[i, 0]), int(view.pairs[i, 1])) for i in survivors
-                ),
-            )
-        else:
-            skyline_idx = k_dominant_skyline(matrix, k)
-        pairs = view.pairs[skyline_idx]
-    return KSJQResult(
-        algorithm="naive",
-        mode="exact",
-        params=params,
-        pairs=pairs,
-        timings=clock.freeze(),
-    )
+    return cast("KSJQResult", _naive(plan, k))

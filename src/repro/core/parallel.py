@@ -16,7 +16,8 @@ joins and cascades alike — runs the same four steps
    candidates independently, then a mandatory **cross-shard
    verification** pass closes the merge;
 4. **answer** — a :class:`~repro.core.result.KSJQResult` or
-   :class:`~repro.core.cascade.CascadeResult`.
+   :class:`~repro.core.result.CascadeResult` (:func:`_answer`, which the
+   naive runners of :mod:`repro.core.naive` share).
 
 The presets :func:`run_parallel`, :func:`run_cascade_parallel` and
 (in :mod:`repro.core.index`) ``run_indexed`` / ``run_cascade_indexed``
@@ -71,6 +72,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, cast
 
 import numpy as np
@@ -86,9 +88,8 @@ from ..resilience import (
 from ..serving.deadline import active_deadline
 from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
-from .cascade import CascadeResult
 from .plan import CascadePlan
-from .result import KSJQResult
+from .result import CascadeResult, KSJQResult
 from .timing import PhaseClock
 from .verify import DEADLINE_SCAN_CHUNK, DEADLINE_VERIFY_CHUNK, sort_rows_for_early_exit
 
@@ -125,7 +126,7 @@ PROCESS_MIN_SHARD_ELEMENTS = 262_144
 DEFAULT_WIDTH = 8
 
 #: Abstract cost of spawning one worker, in the same dominance-comparison
-#: units as :func:`repro.api.engine.choose_algorithm`'s estimates.
+#: units as :func:`repro.core.cost.choose_algorithm`'s estimates.
 WORKER_SPAWN_COST = 2_000_000
 
 #: Most workers ``parallelism="auto"`` will ever choose.
@@ -684,10 +685,7 @@ def _exact_pipeline(
         rows, matrix = plan.joined()
     if shards is None:
         shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
-
-    def partial_of(survivors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(x) for x in rows[i]) for i in survivors)
-
+    partial_of = partial(_row_tuples, rows)
     if indexes is None:
         keep, checked = _sharded_skyline(matrix, k, shards, clock, partial_of)
         return _answer(plan, k, algorithm, rows, keep, checked, clock)
@@ -701,6 +699,12 @@ def _exact_pipeline(
             cells.survivors_by_k[k] = memoized
     keep, checked = memoized
     return _answer(plan, k, algorithm, rows, keep, checked, clock, cells, pruned)
+
+
+def _row_tuples(rows: IntMatrix, survivors: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The pairs or chains at ``survivors`` as int tuples: the partial
+    answer a deadline expiry carries."""
+    return tuple(tuple(int(x) for x in rows[i]) for i in survivors)
 
 
 def _answer(

@@ -10,8 +10,6 @@ dominator-based runs are guaranteed to answer the same query.
 
 from __future__ import annotations
 
-import hashlib
-import math
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -148,33 +146,6 @@ class PlanStats:
         the quantity a delta's :meth:`delta_maintenance_cost` competes
         against in :class:`repro.core.incremental.MaintainedResult`."""
         return float(self.join_size) * float(self.join_size)
-
-    # ------------------------------------------------------------------
-    # Dominance-index cost model (repro.core.index)
-    # ------------------------------------------------------------------
-    def indexed_cost(self, state: str = "cold", span: float | None = None) -> float:
-        """Estimated comparisons of the index-accelerated exact path.
-
-        The indexed runner pays one cell-partition pass over the joined
-        view (``O(J)``), then candidate generation + verification over
-        the rows that *survive* cell pruning — modeled as the parallel
-        path's ``J * sqrt(J)`` generation/verification term scaled by
-        the survival fraction. ``span`` is the indexes'
-        ``mean_cell_span`` selectivity signal when known (tight cells →
-        strong pruning); without it a neutral 0.5 is assumed.
-        ``state="cold"`` adds the build cost the first query pays: one
-        ``O(n log n)`` sort-and-digitize pass per side plus the
-        cell-bound pruning scan of the joined matrix.
-        """
-        if state not in ("cold", "warm"):
-            raise ParameterError(f"state must be 'cold' or 'warm', got {state!r}")
-        j = float(self.join_size)
-        survive = min(1.0, max(span if span is not None else 0.5, 0.05))
-        cost = j + survive * j * math.sqrt(j)
-        if state == "cold":
-            n1, n2 = float(max(self.n_left, 1)), float(max(self.n_right, 1))
-            cost += n1 * math.log2(n1 + 1) + n2 * math.log2(n2 + 1) + j
-        return cost
 
     def as_dict(self) -> PlanStatsDict:
         return {
@@ -373,24 +344,6 @@ class JoinPlan(_IndexedPlan):
     # ------------------------------------------------------------------
     # Memoized derived structures
     # ------------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Stable content digest of the plan: inputs plus join config.
-
-        Combines both relations' content fingerprints with the join
-        kind, aggregate and theta conditions, so two plans with equal
-        fingerprints answer every query identically. Engines use
-        version tokens (cheaper under mutation) for cache keys; the
-        fingerprint is the durable cross-process identity.
-        """
-        h = hashlib.sha1()
-        h.update(self.left.fingerprint().encode())
-        h.update(self.right.fingerprint().encode())
-        agg = self.aggregate.name if self.aggregate is not None else ""
-        h.update(f"|{self.kind}|{agg}|".encode())
-        for cond in self.theta_conditions:
-            h.update(str(cond).encode())
-        return h.hexdigest()
-
     def view(self) -> JoinedView:
         """The joined view (pair enumeration happens on first call)."""
         if self._view is None:
@@ -627,27 +580,15 @@ class JoinPlan(_IndexedPlan):
             return sum(
                 count * right_counts.get(key, 0) for key, count in left_counts.items()
             )
-        # theta: sorted partner counts via binary search (single
+        # theta: sorted partner ranges via binary search (single
         # condition); conjunctions fall back to enumeration.
-        from ..relational.groups import ThetaOp
-
         if len(self.theta_conditions) > 1:
             return int(self.compatible_pairs(left_rows, right_rows).shape[0])
-        lvals = np.asarray(self.left.column(self.theta.left_attr), dtype=np.float64)
-        rvals = np.asarray(self.right.column(self.theta.right_attr), dtype=np.float64)
-        rsorted = np.sort(rvals[right_rows])
-        total = 0
-        for l in left_rows:
-            value = lvals[int(l)]
-            if self.theta.op is ThetaOp.LT:
-                total += rsorted.size - int(np.searchsorted(rsorted, value, side="right"))
-            elif self.theta.op is ThetaOp.LE:
-                total += rsorted.size - int(np.searchsorted(rsorted, value, side="left"))
-            elif self.theta.op is ThetaOp.GT:
-                total += int(np.searchsorted(rsorted, value, side="left"))
-            else:
-                total += int(np.searchsorted(rsorted, value, side="right"))
-        return total
+        cond = self.theta_conditions[0]
+        lvals = np.asarray(self.left.column(cond.left_attr), dtype=np.float64)
+        rvals = np.asarray(self.right.column(cond.right_attr), dtype=np.float64)
+        lo, hi = cond.op.partner_ranges(lvals[left_rows], np.sort(rvals[right_rows]))
+        return int((hi - lo).sum())
 
     def __repr__(self) -> str:
         agg = self.aggregate.name if self.aggregate else None
@@ -683,25 +624,6 @@ class CascadeStats:
     def n_relations(self) -> int:
         """Number of relations in the chain."""
         return len(self.base_sizes)
-
-    def indexed_cost(self, state: str = "cold", span: float | None = None) -> float:
-        """Estimated comparisons of the index-accelerated cascade path.
-
-        The m-way counterpart of :meth:`PlanStats.indexed_cost`: one
-        cell-partition pass over the chain matrix plus generation and
-        verification over the survival fraction; ``state="cold"`` adds
-        the first/last-relation index builds and the pruning scan.
-        """
-        if state not in ("cold", "warm"):
-            raise ParameterError(f"state must be 'cold' or 'warm', got {state!r}")
-        s = float(self.join_size)
-        survive = min(1.0, max(span if span is not None else 0.5, 0.05))
-        cost = s + survive * s * math.sqrt(s)
-        if state == "cold":
-            first = float(max(self.base_sizes[0], 1))
-            last = float(max(self.base_sizes[-1], 1))
-            cost += first * math.log2(first + 1) + last * math.log2(last + 1) + s
-        return cost
 
     def as_dict(self) -> CascadeStatsDict:
         return {
@@ -794,20 +716,6 @@ class CascadePlan(_IndexedPlan):
     # ------------------------------------------------------------------
     # Memoized derived structures
     # ------------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Stable content digest: relation chain + hops + aggregate.
-
-        The m-way counterpart of :meth:`JoinPlan.fingerprint`.
-        """
-        h = hashlib.sha1()
-        for rel in self.relations:
-            h.update(rel.fingerprint().encode())
-        agg = self.aggregate.name if self.aggregate is not None else ""
-        h.update(f"|cascade|{agg}|".encode())
-        for hop in self.hops:
-            h.update(hop.describe().encode())
-        return h.hexdigest()
-
     def chains(self) -> IntMatrix:
         """The full (s x m) chain set (enumerated on first call)."""
         if self._chains is None:

@@ -10,10 +10,9 @@ was executed and the ``source`` plan it ran against.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .timing import TimingBreakdown
 if TYPE_CHECKING:
     from .._typing import IntMatrix
 
-__all__ = ["QueryResult", "KSJQResult", "FindKResult", "FindKStep"]
+__all__ = ["QueryResult", "KSJQResult", "CascadeResult", "FindKResult", "FindKStep"]
 
 
 def _canonical_pairs(pairs: IntMatrix) -> IntMatrix:
@@ -168,6 +167,51 @@ class KSJQResult(QueryResult):
         if self.checked:
             lines.append(f"verified candidates: {self.checked}")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class CascadeResult(QueryResult):
+    """Answer of an m-way cascade KSJQ."""
+
+    k: int
+    chains: IntMatrix  # (s x m) array of skyline chains
+    total_chains: int
+    pruned_rows: int
+    algorithm: str
+    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
+    spec: Any | None = field(default=None, compare=False, repr=False)
+    source: Any | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def count(self) -> int:
+        return int(self.chains.shape[0])
+
+    def chain_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(tuple(int(x) for x in row) for row in self.chains)
+
+    def _source_relations(self) -> Sequence[Relation]:
+        source = self._require_source()
+        relations = getattr(source, "relations", source)
+        return tuple(relations)
+
+    def to_records(self) -> list[dict[str, object]]:
+        """Skyline chains as dicts: per-relation columns prefixed ``r{i}.``.
+
+        Prefixes are one-based (``r1.``, ``r2.``, ...), matching the
+        two-way :meth:`KSJQResult.to_records` layout. Needs the source
+        plan or relations (attached when the cascade runs through an
+        :class:`repro.api.Engine`).
+        """
+        relations = self._source_relations()
+        records: list[dict[str, object]] = []
+        for chain in self.chains:
+            rec: dict[str, object] = {}
+            for i, (rel, row) in enumerate(zip(relations, chain), start=1):
+                rec[f"r{i}._row"] = int(row)
+                for name, value in rel.record(int(row)).items():
+                    rec[f"r{i}.{name}"] = value
+            records.append(rec)
+        return records
 
 
 @dataclass(frozen=True)

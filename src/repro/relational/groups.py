@@ -25,7 +25,7 @@ from .relation import Relation
 if TYPE_CHECKING:
     from collections.abc import ItemsView
 
-    from .._typing import BoolVector, FloatVector, JoinKey
+    from .._typing import BoolVector, FloatVector, IntVector, JoinKey
 
 __all__ = ["GroupIndex", "ThetaOp", "ThetaGroupIndex"]
 
@@ -83,14 +83,35 @@ class ThetaOp(enum.Enum):
     GT = ">"
     GE = ">="
 
-    def evaluate(self, left: FloatVector, right: float) -> BoolVector:
+    def evaluate(self, left: FloatVector | float, right: FloatVector | float) -> BoolVector:
+        """``left <op> right``, elementwise under numpy broadcasting: one
+        value against a column, or two aligned columns."""
+        x = np.asarray(left, dtype=np.float64)
+        y = np.asarray(right, dtype=np.float64)
         if self is ThetaOp.LT:
-            return left < right
+            return x < y
         if self is ThetaOp.LE:
-            return left <= right
+            return x <= y
         if self is ThetaOp.GT:
-            return left > right
-        return left >= right
+            return x > y
+        return x >= y
+
+    def partner_ranges(
+        self, left_values: FloatVector, sorted_right: FloatVector
+    ) -> tuple[IntVector, IntVector]:
+        """``(lo, hi)``: the join partners of ``left_values[i]`` are
+        exactly ``sorted_right[lo[i]:hi[i]]`` — a suffix of the ascending
+        right column for ``<`` / ``<=``, a prefix for ``>`` / ``>=`` —
+        found by one vectorized binary search. A right value tied with
+        the left value is outside a ``<`` suffix but inside a ``>=``
+        prefix, hence the search side."""
+        if self in (ThetaOp.LT, ThetaOp.GE):
+            cut = np.searchsorted(sorted_right, left_values, side="right")
+        else:
+            cut = np.searchsorted(sorted_right, left_values, side="left")
+        if self in (ThetaOp.LT, ThetaOp.LE):
+            return cut, np.full_like(cut, sorted_right.size)
+        return np.zeros_like(cut), cut
 
 
 class ThetaGroupIndex:

@@ -51,7 +51,6 @@ __all__ = [
     "cartesian_pairs",
     "theta_pairs",
     "theta_conjunction_mask",
-    "theta_value_mask",
     "pairs_product",
 ]
 
@@ -287,19 +286,6 @@ def normalize_theta(theta: ThetaLike) -> tuple[ThetaCondition, ...]:
     return conditions
 
 
-def theta_value_mask(
-    condition: ThetaCondition, left_value: float, right_values: FloatVector
-) -> BoolVector:
-    """Mask of ``right_values`` joining one left value under a condition."""
-    if condition.op is ThetaOp.LT:
-        return right_values > left_value
-    if condition.op is ThetaOp.LE:
-        return right_values >= left_value
-    if condition.op is ThetaOp.GT:
-        return right_values < left_value
-    return right_values <= left_value
-
-
 def theta_conjunction_mask(
     conditions: Sequence[ThetaCondition],
     left_values: Sequence[float],
@@ -315,7 +301,7 @@ def theta_conjunction_mask(
     for condition, left_value, right_values in zip(
         conditions, left_values, right_arrays
     ):
-        mask &= theta_value_mask(condition, left_value, right_values)
+        mask &= condition.op.evaluate(left_value, right_values)
     return mask
 
 
@@ -332,54 +318,28 @@ def theta_pairs(left: Relation, right: Relation, theta: ThetaLike) -> IntMatrix:
             break
         lvals = np.asarray(left.column(condition.left_attr), dtype=np.float64)
         rvals = np.asarray(right.column(condition.right_attr), dtype=np.float64)
-        mask = _pairwise_theta_mask(
-            condition, lvals[pairs[:, 0]], rvals[pairs[:, 1]]
-        )
-        pairs = pairs[mask]
+        pairs = pairs[condition.op.evaluate(lvals[pairs[:, 0]], rvals[pairs[:, 1]])]
     return pairs
-
-
-def _pairwise_theta_mask(
-    condition: ThetaCondition, left_values: FloatVector, right_values: FloatVector
-) -> BoolVector:
-    if condition.op is ThetaOp.LT:
-        return left_values < right_values
-    if condition.op is ThetaOp.LE:
-        return left_values <= right_values
-    if condition.op is ThetaOp.GT:
-        return left_values > right_values
-    return left_values >= right_values
 
 
 def _single_theta_pairs(
     left: Relation, right: Relation, condition: ThetaCondition
 ) -> IntMatrix:
+    """Left-row-major pairs of one condition: each left row's partners
+    are one contiguous range of the sorted right column."""
     lvals = np.asarray(left.column(condition.left_attr), dtype=np.float64)
     rvals = np.asarray(right.column(condition.right_attr), dtype=np.float64)
     order = np.argsort(rvals, kind="stable")
-    rsorted = rvals[order]
-    chunks: list[IntMatrix] = []
-    for i in range(len(left)):
-        value = lvals[i]
-        if condition.op is ThetaOp.LT:
-            lo = int(np.searchsorted(rsorted, value, side="right"))
-            matches = order[lo:]
-        elif condition.op is ThetaOp.LE:
-            lo = int(np.searchsorted(rsorted, value, side="left"))
-            matches = order[lo:]
-        elif condition.op is ThetaOp.GT:
-            hi = int(np.searchsorted(rsorted, value, side="left"))
-            matches = order[:hi]
-        else:  # GE
-            hi = int(np.searchsorted(rsorted, value, side="right"))
-            matches = order[:hi]
-        if matches.size:
-            chunks.append(
-                np.column_stack([np.full(matches.size, i, dtype=np.intp), matches])
-            )
-    if not chunks:
-        return np.empty((0, 2), dtype=np.intp)
-    return np.concatenate(chunks, axis=0)
+    lo, hi = condition.op.partner_ranges(lvals, rvals[order])
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    offsets = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(starts, counts)
+    return np.column_stack(
+        [
+            np.repeat(np.arange(len(left), dtype=np.intp), counts),
+            order[np.repeat(lo, counts) + offsets],
+        ]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .dominance import (
 from .kdominant import (
     k_dominant_candidates_block,
     k_dominant_skyline,
-    k_dominant_skyline_block,
     k_dominant_skyline_naive,
     k_dominant_skyline_tsa,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_k_dominated",
     "k_dominant_candidates_block",
     "k_dominant_skyline",
-    "k_dominant_skyline_block",
     "k_dominant_skyline_naive",
     "k_dominant_skyline_tsa",
     "k_dominated_any",

@@ -17,10 +17,15 @@ Implemented methods:
   points, so scan 2 re-verifies every candidate against the full data.
   Points are presorted by attribute sum, which makes strong tuples act
   as candidates early and keeps the candidate set small.
-* ``block`` — the two scans of TSA as vectorized matrix-block
-  broadcasts; the kernel of the sharded exact pipeline.
 
-All return sorted row indices of the k-dominant skyline members.
+:func:`k_dominant_candidates_block` is the TSA's first scan as
+vectorized matrix-block broadcasts: the candidate kernel of the sharded
+exact pipeline (:mod:`repro.core.parallel`) and of
+:func:`repro.core.verify.checkpointed_skyline`, whose second scans
+re-verify its superset against the full data.
+
+The skyline functions return sorted row indices of the k-dominant
+skyline members.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ __all__ = [
     "k_dominant_skyline_naive",
     "k_dominant_skyline_tsa",
     "k_dominant_candidates_block",
-    "k_dominant_skyline_block",
     "k_dominant_skyline",
 ]
 
@@ -107,12 +111,7 @@ def k_dominant_skyline_tsa(
     return sorted(out)
 
 
-def k_dominant_candidates_block(
-    matrix: FloatMatrix,
-    k: int,
-    block: int = 512,
-    order: IntVector | None = None,
-) -> IntVector:
+def k_dominant_candidates_block(matrix: FloatMatrix, k: int, block: int = 512) -> IntVector:
     """Scan-1 candidate generation, vectorized over row *blocks*.
 
     The block-kernel variant of the TSA first scan: rows are visited in
@@ -127,19 +126,14 @@ def k_dominant_candidates_block(
     the returned set is a **superset** of the k-dominant skyline — the
     cheap-to-produce candidate list that a second scan against the full
     data must close, exactly as in the classic TSA (and, sharded, in
-    :mod:`repro.core.parallel`).
-
-    ``order`` optionally supplies a precomputed attribute-sum visit
-    order, so callers that also presort for the second scan pay one
-    argsort in total. Returns sorted row indices of the candidate
-    superset.
+    :mod:`repro.core.parallel`). Returns sorted row indices of the
+    candidate superset.
     """
     matrix = _validate(matrix, k)
     n = matrix.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    if order is None:
-        order = np.argsort(matrix.sum(axis=1), kind="stable")
+    order = np.argsort(matrix.sum(axis=1), kind="stable")
     cand_idx = np.empty(0, dtype=np.intp)
     for start in range(0, n, block):
         rows_idx = order[start : start + block]
@@ -156,35 +150,10 @@ def k_dominant_candidates_block(
     return cand_idx
 
 
-def k_dominant_skyline_block(matrix: FloatMatrix, k: int, block: int = 512) -> list[int]:
-    """Two-scan k-dominant skyline over vectorized block kernels.
-
-    Answer-equivalent to :func:`k_dominant_skyline_tsa` (both are
-    exact), but both scans run as matrix-block broadcasts instead of
-    per-row Python loops: scan 1 is
-    :func:`k_dominant_candidates_block`, scan 2 re-verifies every
-    candidate against the complete dataset with
-    :func:`~repro.skyline.dominance.k_dominated_any`.
-    """
-    matrix = _validate(matrix, k)
-    # One argsort serves both scans: the visit order of scan 1 and the
-    # strong-rows-first layout that gives scan 2 its early exits.
-    order = np.argsort(matrix.sum(axis=1), kind="stable")
-    candidates = k_dominant_candidates_block(matrix, k, block=block, order=order)
-    if candidates.size == 0:
-        return []
-    dominated = k_dominated_any(matrix[order], matrix[candidates], k)
-    return [int(c) for c in candidates[~dominated]]
-
-
 def k_dominant_skyline(matrix: FloatMatrix, k: int, method: str = "tsa") -> list[int]:
-    """Compute the k-dominant skyline; ``method`` in {"tsa", "block", "naive"}."""
+    """Compute the k-dominant skyline; ``method`` in {"tsa", "naive"}."""
     if method == "tsa":
         return k_dominant_skyline_tsa(matrix, k)
-    if method == "block":
-        return k_dominant_skyline_block(matrix, k)
     if method == "naive":
         return k_dominant_skyline_naive(matrix, k)
-    raise ParameterError(
-        f"unknown k-dominant method {method!r} (use 'tsa', 'block' or 'naive')"
-    )
+    raise ParameterError(f"unknown k-dominant method {method!r} (use 'tsa' or 'naive')")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api import Engine, QuerySpec, choose_cascade_algorithm
+from repro.api import Engine, QuerySpec, choose_algorithm
 from repro.core import CascadePlan, CascadeResult, Hop, cascade_ksjq
 from repro.errors import JoinError, ParameterError, SoundnessWarning
 from repro.relational import HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
@@ -104,7 +104,7 @@ class TestEngineCascade:
         eng = Engine()
         result = eng.query(*chain).hop("dst", "src").hop("dst", "src").k(8).run()
         plan = result.source
-        chosen, costs, _ = choose_cascade_algorithm(plan)
+        chosen, costs, _ = choose_algorithm(plan)
         assert result.algorithm == chosen
         assert set(costs) == {"naive", "pruned"}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Engine, QuerySpec, choose_algorithm, choose_cascade_algorithm
+from repro.api import Engine, QuerySpec, choose_algorithm
 from repro.core.parallel import ShardPlan
 from repro.core.plan import CascadePlan, JoinPlan
 from repro.errors import ParameterError
@@ -44,7 +44,126 @@ class TestSpecParallelism:
         )
 
 
+#: Plans of both kinds for the recorded cost-model table below.
+COST_PLANS = {
+    "equality": lambda: JoinPlan(*make_random_pair(seed=70, n=24, d=4, g=3)),
+    "cartesian": lambda: JoinPlan(
+        *make_random_pair(seed=71, n=12, d=4, g=3), kind="cartesian"
+    ),
+    "a2-sum": lambda: JoinPlan(
+        *make_random_pair(seed=72, n=20, d=4, g=3, a=2), aggregate="sum"
+    ),
+    "a1-max": lambda: JoinPlan(
+        *make_random_pair(seed=73, n=20, d=4, g=3, a=1), aggregate="max"
+    ),
+    "cascade": lambda: CascadePlan(
+        [*make_random_pair(seed=74, n=15, d=3, g=2), make_random_pair(seed=75, n=10, d=3, g=2)[0]]
+    ),
+    "cascade-max": lambda: CascadePlan(
+        [
+            *make_random_pair(seed=76, n=12, d=3, g=2, a=1),
+            make_random_pair(seed=77, n=8, d=3, g=2, a=1)[0],
+        ],
+        aggregate="max",
+    ),
+}
+
+_EQ_REASON = (
+    "cheapest estimated cost over join size 192 (3 shared groups, categorization cost 384)"
+)
+_A2_REASON = (
+    "cheapest estimated cost over join size 134 (3 shared groups, categorization cost 268)"
+)
+_CASCADE_REASON = (
+    "cheapest estimated cost over 565 chains across 3 relations (Theorem-4 grouping cost 276)"
+)
+
+#: ``(plan, mode, workers, index_state, index_span) -> (algorithm, costs,
+#: reason)``, recorded exactly. Compared with ``==``: a changed formula or
+#: floating-point summation order fails.
+RECORDED_CHOICES = [
+    ("equality", "faithful", 1, None, None, (
+        "grouping",
+        {"grouping": 3044.4300404257956, "dominator": 13056.0, "naive": 36864.0},
+        _EQ_REASON,
+    )),
+    ("equality", "faithful", 4, "cold", None, (
+        "indexed",
+        {"grouping": 3044.4300404257956, "dominator": 13056.0, "naive": 36864.0,
+         "parallel": 8002969.107510107, "indexed": 1937.1201173220845},
+        _EQ_REASON,
+    )),
+    ("equality", "exact", 4, "warm", 0.3, (
+        "indexed",
+        {"grouping": 3044.4300404257956, "dominator": 13056.0, "naive": 36864.0,
+         "parallel": 8002969.107510107, "indexed": 990.1290121277385},
+        _EQ_REASON,
+    )),
+    ("cartesian", "faithful", 4, "warm", 0.3, (
+        "cartesian",
+        {"cartesian": 432.0, "naive": 20736.0},
+        "cartesian join: the fate table decides every pair with no verification",
+    )),
+    ("a2-sum", "faithful", 4, "warm", 0.3, (
+        "grouping",
+        {"grouping": 1819.1621449738902, "dominator": 6521.333333333333},
+        _A2_REASON + "; exact family (naive/parallel/indexed) excluded: "
+        "faithful mode with a >= 2 aggregates",
+    )),
+    ("a2-sum", "exact", 1, "cold", 0.3, (
+        "indexed",
+        {"grouping": 1819.1621449738902, "dominator": 6521.333333333333, "naive": 17956.0,
+         "indexed": 909.0413404033173},
+        _A2_REASON,
+    )),
+    ("a1-max", "faithful", 1, None, None, (
+        "naive",
+        {"naive": 17956.0},
+        "aggregate 'max' is not strictly monotone; only the exact joined-view algorithms apply",
+    )),
+    ("a1-max", "exact", 4, "cold", None, (
+        "indexed",
+        {"naive": 17956.0, "parallel": 8001510.0405362435, "indexed": 1219.2737693980955},
+        "aggregate 'max' is not strictly monotone; only the exact joined-view algorithms apply",
+    )),
+    ("cascade", "faithful", 1, None, None, (
+        "pruned",
+        {"naive": 319225.0, "pruned": 13705.896686125327},
+        _CASCADE_REASON,
+    )),
+    ("cascade", "faithful", 4, "warm", 0.3, (
+        "indexed",
+        {"naive": 319225.0, "pruned": 13705.896686125327, "parallel": 8023309.036671531,
+         "indexed": 4593.969005837598},
+        _CASCADE_REASON,
+    )),
+    ("cascade", "exact", 4, "cold", None, (
+        "indexed",
+        {"naive": 319225.0, "pruned": 13705.896686125327, "parallel": 8023309.036671531,
+         "indexed": 7939.542659249037},
+        _CASCADE_REASON,
+    )),
+    ("cascade-max", "faithful", 4, "warm", None, (
+        "indexed",
+        {"naive": 82944.0, "parallel": 8006405.880517891, "indexed": 2731.761035780708},
+        "aggregate 'max' is not strictly monotone; only the exact chain-set cascades apply",
+    )),
+]
+
+
 class TestCostModel:
+    @pytest.mark.parametrize(
+        ("plan", "mode", "workers", "state", "span", "expected"),
+        RECORDED_CHOICES,
+        ids=[f"{c[0]}-{c[1]}-w{c[2]}-{c[3]}-{c[4]}" for c in RECORDED_CHOICES],
+    )
+    def test_recorded_choices_are_exact(self, plan, mode, workers, state, span, expected):
+        assert choose_algorithm(COST_PLANS[plan](), mode, workers, state, span) == expected
+
+    def test_unknown_index_state_is_rejected(self):
+        with pytest.raises(ParameterError):
+            choose_algorithm(COST_PLANS["cascade"](), index_state="lukewarm")
+
     def test_parallel_candidate_appears_only_with_workers(self):
         left, right = make_random_pair(seed=50, n=40, d=4, g=4)
         plan = JoinPlan(left, right)
@@ -81,9 +200,9 @@ class TestCostModel:
     def test_cascade_cost_model_gains_parallel_candidate(self):
         rng_pair = make_random_pair(seed=54, n=15, d=3, g=2)
         plan = CascadePlan(rng_pair)
-        _, costs, _ = choose_cascade_algorithm(plan, workers=4)
+        _, costs, _ = choose_algorithm(plan, workers=4)
         assert "parallel" in costs
-        _, serial_costs, _ = choose_cascade_algorithm(plan)
+        _, serial_costs, _ = choose_algorithm(plan)
         assert "parallel" not in serial_costs
 
 

@@ -287,12 +287,6 @@ class TestCellPartition:
         assert partition.pruned_cells(2).all()
         assert partition.row_buckets(2, 4) == []
 
-    def test_has_candidates_tracks_memo(self):
-        partition = CellPartition(np.ones((3, 2)), np.zeros(3, dtype=np.intp))
-        assert not partition.has_candidates(3)
-        partition.candidates_by_k[3] = np.arange(3, dtype=np.intp)
-        assert partition.has_candidates(3)
-
 
 # ----------------------------------------------------------------------
 # joined_cell_ids / run_indexed plumbing

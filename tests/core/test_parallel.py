@@ -20,7 +20,6 @@ from repro.core.timing import PhaseClock
 from repro.relational import Relation
 from repro.skyline import (
     k_dominant_candidates_block,
-    k_dominant_skyline_block,
     k_dominant_skyline_naive,
     k_dominated_any,
 )
@@ -136,15 +135,6 @@ class TestBlockKernels:
             candidates = set(k_dominant_candidates_block(matrix, k, block=32).tolist())
             skyline = set(k_dominant_skyline_naive(matrix, k))
             assert skyline <= candidates
-
-    def test_skyline_block_equals_naive_reference(self):
-        rng = np.random.default_rng(7)
-        for n in (0, 1, 17, 120):
-            matrix = np.floor(rng.random((n, 5)) * 4)
-            for k in (2, 4, 5):
-                assert k_dominant_skyline_block(matrix, k) == k_dominant_skyline_naive(
-                    matrix, k
-                )
 
 
 # ----------------------------------------------------------------------

@@ -88,3 +88,38 @@ class TestThetaGroupIndex:
         assert list(ThetaOp.LE.evaluate(values, 2.0)) == [True, True, False]
         assert list(ThetaOp.GT.evaluate(values, 2.0)) == [False, False, True]
         assert list(ThetaOp.GE.evaluate(values, 2.0)) == [False, True, True]
+
+
+SORTED_RIGHT = (1.0, 2.0, 2.0, 2.0, 3.0, 5.0, 5.0)
+# Ties with the right column, values between, below and above it.
+LEFT = (2.0, 5.0, 1.0, 0.0, 9.0, 2.5, 3.0, 2.0)
+
+
+class TestPartnerRanges:
+    """``ThetaOp.partner_ranges`` against the ``evaluate`` masks it replaces."""
+
+    @pytest.mark.parametrize("op", list(ThetaOp), ids=lambda op: op.name)
+    def test_range_equals_evaluate_mask_on_ties(self, op):
+        left, right = np.array(LEFT), np.array(SORTED_RIGHT)
+        lo, hi = op.partner_ranges(left, right)
+        positions = np.arange(right.size)
+        for value, start, stop in zip(left, lo, hi):
+            in_range = (positions >= start) & (positions < stop)
+            assert in_range.tolist() == op.evaluate(value, right).tolist()
+
+    @pytest.mark.parametrize("op", list(ThetaOp), ids=lambda op: op.name)
+    def test_suffix_or_prefix_and_empty_right(self, op):
+        left = np.array(LEFT)
+        lo, hi = op.partner_ranges(left, np.array(SORTED_RIGHT))
+        if op in (ThetaOp.LT, ThetaOp.LE):
+            assert (hi == len(SORTED_RIGHT)).all()
+        else:
+            assert (lo == 0).all()
+        lo, hi = op.partner_ranges(left, np.empty(0))
+        assert lo.tolist() == hi.tolist() == [0] * left.size
+
+    def test_evaluate_broadcasts_aligned_columns(self):
+        left = np.array([1.0, 2.0, 3.0])
+        right = np.array([2.0, 2.0, 2.0])
+        assert ThetaOp.LT.evaluate(left, right).tolist() == [True, False, False]
+        assert ThetaOp.GE.evaluate(2.0, left).tolist() == [True, True, False]

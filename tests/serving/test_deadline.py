@@ -199,6 +199,50 @@ def test_sharded_presets_stop_scanning_candidates_at_expiry(preset, monkeypatch)
     assert 0 < sum(scanned) < rows
 
 
+def test_cold_cell_pruning_scan_stops_at_expiry(monkeypatch):
+    """The indexed preset's cell-pruning scan is cancellable: a cold
+    partition is scanned in chunks of cells with a check before each,
+    so expiry leaves most cell bounds unscanned. Only a complete mask
+    is memoized: a scan that beats its deadline covers every cell and
+    equals the unchunked kernel, and the re-run is exact."""
+    from repro.core import JoinPlan, index, run_naive
+    from repro.core.index import run_indexed
+    from repro.core.parallel import ShardPlan
+    from repro.core.verify import DEADLINE_VERIFY_CHUNK
+
+    left, right = make_random_pair(seed=2, n=160, d=4, g=3, levels=16)
+    plan = JoinPlan(left, right)
+    k = 7
+    first, _ = plan.side_index("left")
+    last, _ = plan.side_index("right")
+    partition = plan.cell_partition(first, last)
+    cells = partition.n_cells
+    assert cells > 2 * DEADLINE_VERIFY_CHUNK, "fixture too small"
+    shards = ShardPlan(1, plan.stats().join_size, "serial", "test")
+
+    scanned = []
+    kernel = index.cells_k_dominated
+
+    def counting_kernel(matrix, bounds, k):
+        scanned.append(bounds.shape[0])
+        return kernel(matrix, bounds, k)
+
+    monkeypatch.setattr(index, "cells_k_dominated", counting_kernel)
+    with Deadline(2, clock=counting_clock()).activate(), pytest.raises(DeadlineExceeded):
+        run_indexed(plan, k, first, last, shards=shards)
+    assert 0 < sum(scanned) < cells
+
+    scanned.clear()
+    with Deadline(10**9, clock=counting_clock()).activate():
+        pruned = partition.pruned_cells(k)
+    assert sum(scanned) == cells
+    assert 0 < pruned.sum() < cells, "fixture must prune some cells"
+    assert pruned.tolist() == kernel(partition.sorted_matrix(), partition.cell_lb, k).tolist()
+    rerun = run_indexed(plan, k, first, last, shards=shards)
+    naive = run_naive(plan, k)
+    assert naive.count and rerun.pairs.tolist() == naive.pairs.tolist()
+
+
 def test_cascade_partial_is_subset_and_rerun_is_exact():
     r1, r2 = make_random_pair(seed=9, n=30, d=4, g=3)
     r3, _ = make_random_pair(seed=11, n=30, d=4, g=3)
