@@ -9,13 +9,13 @@ Two numbers the resilience layer promises
   ``checkpoint()`` call is a single module-global read; this module
   times it directly, projects it onto the clean parallel run's actual
   checkpoint count, and asserts the overhead stays under 2 %.
-* **Recovery <= ~2x clean.** A transient shard fault (retried in
-  place) and a hard worker crash (pool rebuild + re-execution of only
-  the failed buckets) are timed against their clean counterparts. The
+* **Recovery <= ~2x clean.** A transient shard fault, retried in
+  place on the thread pool, is timed against the clean thread run. The
   assertion is lenient — ``max(2x clean, clean + 1s)`` — because at
-  smoke scale pool setup dominates; the recorded ratio is the signal.
+  smoke scale a run takes tens of milliseconds, so the fixed retry
+  backoff weighs heavily; the recorded ratio is the signal.
 
-Every recovery cell also re-asserts byte identity against the serial
+The recovery cell also re-asserts byte identity against the serial
 ground truth: a benchmark that got fast by dropping a shard would be
 worse than useless.
 """
@@ -40,8 +40,8 @@ def _plan_and_truth():
     return plan, run_naive(plan, K)
 
 
-def _shards(workers: int, kind: str) -> ShardPlan:
-    return ShardPlan(workers, 0, kind, "bench")
+def _shards(workers: int) -> ShardPlan:
+    return ShardPlan(workers, 0, "bench")
 
 
 @pytest.mark.benchmark(group="resilience")
@@ -50,7 +50,7 @@ def test_clean_thread_baseline(benchmark):
     result = benchmark.pedantic(
         run_parallel,
         args=(plan, K),
-        kwargs={"shards": _shards(4, "thread")},
+        kwargs={"shards": _shards(4)},
         rounds=1,
         iterations=1,
         warmup_rounds=1,
@@ -59,23 +59,6 @@ def test_clean_thread_baseline(benchmark):
     _clean_elapsed["thread"] = benchmark.stats.stats.total
     benchmark.extra_info["skyline"] = result.count
     record_artifact(benchmark, "clean-thread", benchmark.stats.stats.total)
-
-
-@pytest.mark.benchmark(group="resilience")
-def test_clean_process_baseline(benchmark):
-    plan, want = _plan_and_truth()
-    result = benchmark.pedantic(
-        run_parallel,
-        args=(plan, K),
-        kwargs={"shards": _shards(2, "process")},
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    assert result.pairs.tobytes() == want.pairs.tobytes()
-    _clean_elapsed["process"] = benchmark.stats.stats.total
-    benchmark.extra_info["skyline"] = result.count
-    record_artifact(benchmark, "clean-process", benchmark.stats.stats.total)
 
 
 @pytest.mark.benchmark(group="resilience")
@@ -109,7 +92,7 @@ def test_transient_fault_recovery_latency(benchmark):
         resilience_stats().reset()
         faults = FaultPlan([FaultSpec("shard.verify", kind="io", times=1)])
         with arming(faults):
-            return run_parallel(plan, K, shards=_shards(4, "thread"))
+            return run_parallel(plan, K, shards=_shards(4))
 
     result = benchmark.pedantic(recover, rounds=1, iterations=1, warmup_rounds=0)
     assert result.pairs.tobytes() == want.pairs.tobytes()
@@ -120,29 +103,3 @@ def test_transient_fault_recovery_latency(benchmark):
         benchmark.extra_info["ratio_vs_clean"] = round(elapsed / max(clean, 1e-9), 3)
         assert elapsed <= max(2.0 * clean, clean + 1.0)
     record_artifact(benchmark, "recovery-transient", elapsed)
-
-
-@pytest.mark.benchmark(group="resilience")
-def test_worker_crash_recovery_latency(benchmark):
-    """A hard worker death (``os._exit`` in the pool): rebuild the pool,
-    re-execute only the failed buckets, still byte-identical."""
-    plan, want = _plan_and_truth()
-
-    def recover():
-        resilience_stats().reset()
-        faults = FaultPlan([FaultSpec("shard.verify", kind="crash", times=1)])
-        with arming(faults):
-            return run_parallel(plan, K, shards=_shards(2, "process"))
-
-    result = benchmark.pedantic(recover, rounds=1, iterations=1, warmup_rounds=0)
-    assert result.pairs.tobytes() == want.pairs.tobytes()
-    snap = resilience_stats().snapshot()
-    assert snap["pool_rebuilds"] >= 1
-    elapsed = benchmark.stats.stats.total
-    clean = _clean_elapsed.get("process")
-    if clean:
-        benchmark.extra_info["ratio_vs_clean"] = round(elapsed / max(clean, 1e-9), 3)
-        # Pool rebuild re-pays executor startup, which dominates at
-        # smoke scale; the +2s floor keeps tiny runs honest but stable.
-        assert elapsed <= max(2.0 * clean, clean + 2.0)
-    record_artifact(benchmark, "recovery-crash", elapsed)

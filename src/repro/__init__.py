@@ -15,7 +15,7 @@ K-Dominant Skylines" (ICDE 2017), as a reusable Python library:
   deadlines with verified partial answers, bounded-queue admission
   control, progressive streaming (``python -m repro.serving``);
 * :mod:`repro.resilience` — deterministic fault injection, bounded
-  retry/backoff, the recovery ladder behind the parallel executors,
+  retry/backoff, the recovery ladder behind the sharded thread pool,
   and the serving circuit breaker (see ``docs/resilience.md``);
 * :mod:`repro.datagen` — synthetic generators and the flight dataset;
 * :mod:`repro.experiments` — the harness regenerating every figure of
@@ -149,7 +149,7 @@ from .relational import (
     ThetaOp,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "AdmissionRejected",

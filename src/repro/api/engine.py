@@ -133,8 +133,8 @@ class ExplainReport:
     resilience:
         Fault-tolerance posture and recovery totals: whether a
         :class:`~repro.resilience.FaultPlan` is armed, plus the
-        process-wide recovery counters (shard retries, pool rebuilds,
-        executor degradations, index quarantines) accumulated so far.
+        process-wide recovery counters (shard retries, thread → serial
+        degradations, index quarantines) accumulated so far.
     """
 
     spec: QuerySpec
@@ -762,10 +762,10 @@ class Engine:
         # under its own lock, so taking the catalog lock while holding
         # ours would invert that order.
         info.update(self._catalog.index_info())
-        # Recovery counters (shard_retries / pool_rebuilds /
-        # degradations / index_quarantines / ...) are process-wide —
-        # the shard executor has no engine reference — so every engine
-        # reports the same snapshot.
+        # Recovery counters (shard_retries / degradations /
+        # index_quarantines / ...) are process-wide — the shard
+        # executor has no engine reference — so every engine reports
+        # the same snapshot.
         info["resilience"] = resilience_stats().snapshot()
         if metrics is not None:
             info["serving"] = metrics.snapshot()
@@ -1223,9 +1223,8 @@ def _resilience_line() -> str:
     )
     snap = resilience_stats().snapshot()
     return (
-        f"{posture}; recovery ladder process→thread→serial; so far: "
+        f"{posture}; recovery ladder thread→serial; so far: "
         f"{snap['shard_retries']} shard retries, "
-        f"{snap['pool_rebuilds']} pool rebuilds, "
         f"{snap['degradations']} degradations, "
         f"{snap['index_quarantines']} index quarantines"
     )
@@ -1233,8 +1232,7 @@ def _resilience_line() -> str:
 
 def _shard_plan(plan: JoinPlan | CascadePlan, spec: QuerySpec) -> ShardPlan:
     """The :class:`ShardPlan` a ksjq spec's parallel/indexed run uses."""
-    stats = plan.stats()
-    return plan_shards(stats.join_size, spec.parallelism, stats.joined_width)
+    return plan_shards(plan.stats().join_size, spec.parallelism)
 
 
 def _choose(

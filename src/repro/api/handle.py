@@ -130,7 +130,7 @@ class QueryHandle:
 
         The graceful-degradation companion of :meth:`refresh` (see
         ``docs/resilience.md``): a transiently sick engine — every
-        retry/rebuild/degrade rung failed with a typed
+        retry/degrade rung failed with a typed
         :class:`~repro.errors.ResilienceError` — should not take down a
         caller that holds a previously *verified* (if stale) answer.
 

@@ -21,8 +21,8 @@ joins and cascades alike — runs the same four steps
 
 The presets :func:`run_parallel`, :func:`run_cascade_parallel` and
 (in :mod:`repro.core.index`) ``run_indexed`` / ``run_cascade_indexed``
-only pick the plan kind and the partition; the executor — serial,
-threads or processes — comes from the :class:`ShardPlan`.
+only pick the plan kind and the partition; whether the work items run
+serially or on a thread pool comes from the :class:`ShardPlan`.
 
 The verification pass is not an optimization detail but a correctness
 requirement: k-dominance is *non-transitive* (paper Sec. 2.2), so a
@@ -36,22 +36,21 @@ the answer is independent of the shard count: ``parallelism ∈ {1, 2,
 4, ...}`` all return byte-identical result sets, equal to the naïve
 (ground-truth) algorithm.
 
-Executor choice follows the shard size: large shards amortize a
-``ProcessPoolExecutor`` (fork/spawn + pickling one shard each); small
-shards fall back to a thread pool, where the block kernels still
-overlap because numpy releases the GIL inside large comparison loops;
-one shard (or one worker) runs inline. :func:`plan_shards` makes that
-decision from the plan's exact cardinality statistics and is what
+Sharded work runs on a thread pool: the block kernels overlap because
+numpy releases the GIL inside large comparison loops, and every worker
+reads the joined matrix in place, so nothing is forked or pickled. One
+shard (or one worker) runs inline. :func:`plan_shards` decides the
+worker count from the plan's exact cardinality statistics and is what
 ``Engine.explain`` reports.
 
 Execution is **resilient**: shard tasks are pure, so transient
-failures — a crashed pool worker, an injected fault from
-:mod:`repro.resilience` — are absorbed by re-executing only the failed
-shard buckets with bounded backoff, rebuilding broken pools, and
-degrading process → thread → serial (see ``docs/resilience.md``).
-Because the cross-shard verification pass always re-checks merged
-candidates against the full matrix, recovery never changes the answer:
-recovered runs stay byte-identical to the clean serial path.
+failures — an injected fault from :mod:`repro.resilience`, an
+``OSError`` — are absorbed by re-executing only the failed shard
+buckets with bounded backoff, first on the thread pool and then
+serially (see ``docs/resilience.md``). Because the cross-shard
+verification pass always re-checks merged candidates against the full
+matrix, recovery never changes the answer: recovered runs stay
+byte-identical to the clean serial path.
 
 ``Engine.execute_many`` composes with per-query parallelism through
 :func:`batch_workers`: while a batch fans out over N threads, each
@@ -63,13 +62,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-import itertools
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -81,7 +77,6 @@ from ..resilience import (
     InjectedFault,
     RetryPolicy,
     checkpoint,
-    mark_pool_worker,
     resilience_stats,
     retry_call,
 )
@@ -108,22 +103,12 @@ __all__ = [
     "run_parallel",
     "run_cascade_parallel",
     "AUTO_MIN_ROWS",
-    "PROCESS_MIN_SHARD_ELEMENTS",
     "WORKER_SPAWN_COST",
 ]
 
 #: Below this many candidate rows, ``parallelism="auto"`` stays serial:
-#: worker spawn + shard pickling would outweigh the saved scan time.
+#: starting workers would outweigh the saved scan time.
 AUTO_MIN_ROWS = 8192
-
-#: Shards whose matrix payload (rows x joined attributes) reaches this
-#: many elements use a process pool; smaller shards use threads (numpy
-#: releases the GIL inside the block kernels, and threads avoid the
-#: fork + pickle cost that small shards cannot repay).
-PROCESS_MIN_SHARD_ELEMENTS = 262_144
-
-#: Joined width assumed when the caller cannot supply one.
-DEFAULT_WIDTH = 8
 
 #: Abstract cost of spawning one worker, in the same dominance-comparison
 #: units as :func:`repro.core.cost.choose_algorithm`'s estimates.
@@ -174,8 +159,6 @@ class ShardPlan:
         Worker (and shard) count; ``1`` means serial execution.
     n_rows:
         Candidate rows being sharded (the joined size / chain count).
-    executor:
-        ``"process"``, ``"thread"`` or ``"serial"``.
     reason:
         Human-readable justification of the decision (reported by
         ``Engine.explain``).
@@ -188,9 +171,13 @@ class ShardPlan:
 
     workers: int
     n_rows: int
-    executor: str
     reason: str
     partition: str = "rows"
+
+    @property
+    def executor(self) -> str:
+        """``"thread"`` when the plan fans out, ``"serial"`` otherwise."""
+        return "thread" if self.is_parallel else "serial"
 
     @property
     def n_shards(self) -> int:
@@ -234,9 +221,7 @@ def shard_bounds(n_rows: int, n_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def plan_shards(
-    n_rows: int, parallelism: object = "auto", width: int = 0
-) -> ShardPlan:
+def plan_shards(n_rows: int, parallelism: object = "auto") -> ShardPlan:
     """Decide serial-vs-sharded execution for ``n_rows`` candidate rows.
 
     ``parallelism="auto"`` is the cost-based path: stay serial below
@@ -245,24 +230,18 @@ def plan_shards(
     available to this query's batch lane (see :func:`batch_workers`).
     An explicit integer demands that many workers (still capped by the
     batch-lane budget so ``execute_many`` cannot oversubscribe).
-
-    The executor kind follows the shard payload: process pool once a
-    shard's matrix (rows x ``width`` joined attributes — the engine
-    passes ``PlanStats.joined_width``; :data:`DEFAULT_WIDTH` when
-    unknown) reaches :data:`PROCESS_MIN_SHARD_ELEMENTS`, thread pool
-    below.
     """
     budget = max(1, available_cpus() // _batch_lane_count())
     if parallelism == "auto":
         if n_rows < AUTO_MIN_ROWS:
             return ShardPlan(
-                1, n_rows, "serial",
+                1, n_rows,
                 f"joined size {n_rows} below parallel threshold {AUTO_MIN_ROWS}",
             )
         workers = min(AUTO_MAX_WORKERS, budget)
         if workers <= 1:
             return ShardPlan(
-                1, n_rows, "serial",
+                1, n_rows,
                 "no spare CPUs for this query "
                 f"({available_cpus()} available / {_batch_lane_count()} batch lanes)",
             )
@@ -273,32 +252,21 @@ def plan_shards(
         if workers <= 1:
             if requested > 1:
                 return ShardPlan(
-                    1, n_rows, "serial",
+                    1, n_rows,
                     f"parallelism={requested} capped to CPU budget {budget} "
                     f"by {_batch_lane_count()} batch lanes",
                 )
-            return ShardPlan(1, n_rows, "serial", "parallelism=1 requested")
+            return ShardPlan(1, n_rows, "parallelism=1 requested")
         reason = f"parallelism={requested} requested"
     workers = max(1, min(workers, n_rows)) if n_rows else 1
     if workers <= 1:
-        return ShardPlan(1, n_rows, "serial", f"only {n_rows} candidate rows")
-    shard_elements = (n_rows // workers) * max(1, width or DEFAULT_WIDTH)
-    executor = "process" if shard_elements >= PROCESS_MIN_SHARD_ELEMENTS else "thread"
-    return ShardPlan(workers, n_rows, executor, reason)
+        return ShardPlan(1, n_rows, f"only {n_rows} candidate rows")
+    return ShardPlan(workers, n_rows, reason)
 
 
 # ----------------------------------------------------------------------
-# Worker functions (module-level so ProcessPoolExecutor can pickle them)
+# Work items and the thread-pool map with its recovery ladder
 # ----------------------------------------------------------------------
-#: Large read-only payloads (the sorted full matrix of the verification
-#: pass) stashed by key so fork-based process workers inherit them as
-#: copy-on-write pages — and thread workers read them directly — instead
-#: of pickling one full copy per task. Keys are process-unique, so
-#: concurrent queries (``execute_many`` lanes) never collide.
-_SHARED_PAYLOADS: dict[int, FloatMatrix] = {}
-_shared_keys = itertools.count()
-
-
 def _shard_candidates(args: tuple[FloatMatrix, int | IntVector, int]) -> IntVector:
     """Phase 1, one work item: local candidate superset, as global
     indices. ``rows`` is the first row of a contiguous shard, or the row
@@ -309,36 +277,15 @@ def _shard_candidates(args: tuple[FloatMatrix, int | IntVector, int]) -> IntVect
     return rows[local] if isinstance(rows, np.ndarray) else local + rows
 
 
-def _verify_chunk(args: tuple[int, IntVector, int]) -> BoolVector:
-    """Phase 2, one candidate chunk: dominated flags vs the full data
-    (looked up in :data:`_SHARED_PAYLOADS` — inherited via fork for
-    process workers, shared memory for threads)."""
-    payload_key, vectors, k = args
+def _verify_chunk(args: tuple[FloatMatrix, FloatMatrix, int]) -> BoolVector:
+    """Phase 2, one candidate chunk: dominated flags vs the full sorted
+    matrix, which every thread worker reads in place."""
+    sorted_matrix, vectors, k = args
     checkpoint("shard.verify")
-    return k_dominated_any(_SHARED_PAYLOADS[payload_key], vectors, k)
+    return k_dominated_any(sorted_matrix, vectors, k)
 
 
-@contextmanager
-def _shared_payload(matrix: FloatMatrix) -> Iterator[int]:
-    """Register ``matrix`` under a fresh key for the duration of a pass."""
-    key = next(_shared_keys)
-    _SHARED_PAYLOADS[key] = matrix
-    try:
-        yield key
-    finally:
-        _SHARED_PAYLOADS.pop(key, None)
-
-
-def _fork_context() -> multiprocessing.context.BaseContext | None:
-    """The fork start method, or ``None`` where unavailable (Windows,
-    macOS default spawn without fork support)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return None
-
-
-#: Backoff schedule shared by every rung of the recovery ladder: up to
+#: Backoff schedule shared by both rungs of the recovery ladder: up to
 #: two retries, 5 ms doubling to a 100 ms ceiling, half-jittered.
 SHARD_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.005, max_delay=0.1)
 
@@ -363,93 +310,18 @@ def _serial_tasks(
     ]
 
 
-def _map_on_processes(
-    fn: Callable[[tuple], np.ndarray],
-    tasks: Sequence[tuple],
-    workers: int,
-    context: multiprocessing.context.BaseContext | None,
-) -> list[np.ndarray] | None:
-    """Run tasks on a process pool, recovering from worker crashes.
-
-    A dead worker (SIGKILL, OOM, injected crash) surfaces as
-    ``BrokenProcessPool`` on the futures of every task that was in
-    flight; a transient task failure comes back as the future's
-    exception. Either way only the *failed* tasks are re-executed under
-    the bounded :data:`SHARD_RETRY_POLICY` — and only a pool that
-    actually *broke* is torn down and rebuilt (counted as
-    ``pool_rebuilds``); task-level transients retry on the live pool
-    without paying pool startup again. Returns results in task order,
-    or ``None`` when the policy is exhausted and the caller should
-    degrade to threads. Pools are only ever created on the main
-    thread: forking while sibling batch-lane threads run
-    (``execute_many``) risks inheriting locks held mid-operation.
-    """
-    on_main_thread = threading.current_thread() is threading.main_thread()
-    if on_main_thread:
-        results: list[np.ndarray | None] = [None] * len(tasks)
-        pending = list(range(len(tasks)))
-        pool: ProcessPoolExecutor | None = None
-        rebuilding = False
-        try:
-            for attempt in range(SHARD_RETRY_POLICY.max_attempts):
-                if attempt:
-                    resilience_stats().record("shard_retries", len(pending))
-                    time.sleep(SHARD_RETRY_POLICY.delay(attempt - 1))
-                broken = False
-                try:
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(workers, len(pending)),
-                            mp_context=context,
-                            initializer=mark_pool_worker,
-                        )
-                        if rebuilding:
-                            resilience_stats().record("pool_rebuilds")
-                            rebuilding = False
-                    futures = {i: pool.submit(fn, tasks[i]) for i in pending}
-                    failed = []
-                    for i, future in futures.items():
-                        try:
-                            results[i] = future.result()
-                        except BrokenProcessPool:
-                            failed.append(i)
-                            broken = True
-                        except _RECOVERABLE:
-                            failed.append(i)
-                    pending = failed
-                except OSError:
-                    # The pool could not start; everything still
-                    # pending gets retried on the next attempt.
-                    pass
-                except BrokenProcessPool:
-                    # The pool broke while submitting; the partially
-                    # submitted futures are lost, but their indices
-                    # are still in ``pending``.
-                    broken = True
-                if broken and pool is not None:
-                    pool.shutdown(wait=True)
-                    pool = None
-                    rebuilding = True
-                if not pending:
-                    return [r for r in results if r is not None]
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-    return None
-
-
 def _map_on_threads(
     fn: Callable[[tuple], np.ndarray],
     tasks: Sequence[tuple],
     workers: int,
-) -> list[np.ndarray] | None:
+) -> tuple[dict[int, np.ndarray], list[int]]:
     """Run tasks on a thread pool with per-task transient retries.
 
-    Returns results in task order, or ``None`` when a task keeps
-    failing past the policy and the caller should fall back to serial
-    execution (whose final failure propagates typed).
+    Returns the finished results by task index, and the indices of the
+    tasks still failing once the policy is exhausted (empty when every
+    task finished) — the caller re-runs only those serially.
     """
-    results: list[np.ndarray | None] = [None] * len(tasks)
+    results: dict[int, np.ndarray] = {}
     pending = list(range(len(tasks)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for attempt in range(SHARD_RETRY_POLICY.max_attempts):
@@ -457,59 +329,43 @@ def _map_on_threads(
                 resilience_stats().record("shard_retries", len(pending))
                 time.sleep(SHARD_RETRY_POLICY.delay(attempt - 1))
             futures = {i: pool.submit(fn, tasks[i]) for i in pending}
-            failed = []
+            pending = []
             for i, future in futures.items():
                 try:
                     results[i] = future.result()
                 except _RECOVERABLE:
-                    failed.append(i)
-            pending = failed
+                    pending.append(i)
             if not pending:
-                return [r for r in results if r is not None]
-    return None
+                break
+    return results, pending
 
 
 def _map_tasks(
     fn: Callable[[tuple], np.ndarray],
     tasks: Sequence[tuple],
     shards: ShardPlan,
-    needs_shared_state: bool = False,
 ) -> list[np.ndarray]:
-    """Run ``fn`` over ``tasks`` on the shard plan's executor.
+    """Run ``fn`` over ``tasks`` on the shard plan's thread pool (inline
+    for a serial plan).
 
     Results come back in task order, and non-transient exceptions
     raised by ``fn`` propagate. Transient failures walk the **recovery
     ladder** (see ``docs/resilience.md``): failed tasks are retried in
-    place with exponential backoff and jitter, a broken process pool is
-    rebuilt and only the failed shard buckets re-executed, and when a
-    rung's retry budget is exhausted execution degrades
-    process → thread → serial (counted in
-    :func:`repro.resilience.resilience_stats`). Correctness never rests
-    on the ladder: shard tasks are pure, and the mandatory cross-shard
+    place with exponential backoff and jitter, then the tasks the
+    thread rung could not finish — only those — run serially (counted
+    in :func:`repro.resilience.resilience_stats`), where a fault that
+    still persists surfaces typed. Correctness never rests on the
+    ladder: shard tasks are pure, and the mandatory cross-shard
     verification re-checks every merged candidate against the full
     matrix, so re-executed shards cannot change the answer.
-
-    ``needs_shared_state`` marks functions reading
-    :data:`_SHARED_PAYLOADS`; they require fork-inherited memory, so on
-    platforms without fork they run on threads. Processes are also only
-    used from the main thread (see :func:`_map_on_processes`).
     """
     if not shards.is_parallel or len(tasks) <= 1:
         return _serial_tasks(fn, tasks)
-    workers = min(shards.workers, len(tasks))
-    main = threading.current_thread() is threading.main_thread()
-    if shards.executor == "process" and main:
-        context = _fork_context() if needs_shared_state else None
-        if not needs_shared_state or context is not None:
-            results = _map_on_processes(fn, tasks, workers, context)
-            if results is not None:
-                return results
-            resilience_stats().record("degradations")  # process → thread
-    results = _map_on_threads(fn, tasks, workers)
-    if results is not None:
-        return results
-    resilience_stats().record("degradations")  # thread → serial
-    return _serial_tasks(fn, tasks)
+    results, pending = _map_on_threads(fn, tasks, min(shards.workers, len(tasks)))
+    if pending:
+        resilience_stats().record("degradations")  # thread → serial
+        results.update(zip(pending, _serial_tasks(fn, [tasks[i] for i in pending])))
+    return [results[i] for i in range(len(tasks))]
 
 
 def _task_bounds(n_rows: int, n_shards: int, chunk: int | None) -> list[tuple[int, int]]:
@@ -554,7 +410,6 @@ def _waves(
     shards: ShardPlan,
     deadline: Deadline | None,
     partial: Callable[[], tuple[tuple[int, ...], ...]],
-    needs_shared_state: bool = False,
 ) -> Iterator[np.ndarray]:
     """Run ``tasks`` on the shard plan's executor, yielding results in
     task order.
@@ -569,7 +424,7 @@ def _waves(
     for start in range(0, len(tasks), max(1, size)):
         if deadline is not None:
             deadline.check(partial)
-        yield from _map_tasks(fn, tasks[start : start + size], shards, needs_shared_state)
+        yield from _map_tasks(fn, tasks[start : start + size], shards)
 
 
 def _sharded_skyline(
@@ -635,20 +490,16 @@ def _sharded_skyline(
         # Cross-shard merge: every candidate re-checked against ALL
         # rows (k-dominance is non-transitive — locally eliminated rows
         # still eliminate), with strong rows stacked first for early
-        # exit. The sorted matrix travels to workers as fork-inherited
-        # shared state, not one pickled copy per chunk.
+        # exit. Every task references the one sorted matrix.
         sorted_matrix = (
             cells.sorted_matrix() if cells is not None else sort_rows_for_early_exit(matrix)
         )
         chunk = None if deadline is None else DEADLINE_VERIFY_CHUNK
         bounds = _task_bounds(int(candidates.size), shards.n_shards, chunk)
-        with _shared_payload(sorted_matrix) as payload_key:
-            tasks = [(payload_key, matrix[candidates[start:stop]], k) for start, stop in bounds]
-            flags = _waves(
-                _verify_chunk, tasks, shards, deadline, partial, needs_shared_state=True
-            )
-            for (start, stop), dominated in zip(bounds, flags):
-                kept.append(candidates[start:stop][~dominated])
+        tasks = [(sorted_matrix, matrix[candidates[start:stop]], k) for start, stop in bounds]
+        flags = _waves(_verify_chunk, tasks, shards, deadline, partial)
+        for (start, stop), dominated in zip(bounds, flags):
+            kept.append(candidates[start:stop][~dominated])
         if deadline is not None:
             deadline.check(partial)
         return np.concatenate(kept), int(candidates.size)
@@ -684,7 +535,7 @@ def _exact_pipeline(
     with clock.phase("join"):
         rows, matrix = plan.joined()
     if shards is None:
-        shards = plan_shards(matrix.shape[0], "auto", matrix.shape[1])
+        shards = plan_shards(matrix.shape[0], "auto")
     partial_of = partial(_row_tuples, rows)
     if indexes is None:
         keep, checked = _sharded_skyline(matrix, k, shards, clock, partial_of)

@@ -90,8 +90,7 @@ class PlanStats:
     it scales with the sum of squared group sizes on both sides.
     ``joined_width`` is the number of joined skyline attributes
     ``l1 + l2 + a`` — together with ``join_size`` it sizes the joined
-    matrix that the sharded parallel path partitions
-    (:func:`repro.core.parallel.plan_shards`).
+    matrix.
     """
 
     kind: str

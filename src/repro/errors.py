@@ -78,8 +78,8 @@ class ResilienceError(ReproError):
     """A fault-tolerance path exhausted its recovery options.
 
     The resilience layer (see :mod:`repro.resilience`) retries
-    transient shard failures, rebuilds broken process pools, and
-    degrades process → thread → serial before giving up. When every
+    transient shard failures on the thread pool, then re-runs the
+    tasks still failing serially before giving up. When every
     rung of that ladder fails — or a fault-injection checkpoint fires
     deliberately — the failure surfaces as this *typed* error rather
     than a silently wrong (unverified) answer. Carries a stable

@@ -14,15 +14,15 @@ Pieces:
 
 * :mod:`~repro.resilience.faults` — named checkpoints
   (``checkpoint("shard.verify")``) and the seeded, deterministic
-  :class:`FaultPlan` that injects worker crashes, stragglers, index
+  :class:`FaultPlan` that injects lost workers, stragglers, index
   corruption and transient I/O errors at them. Zero overhead disarmed.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` (exponential
   backoff, deterministic jitter) and :func:`retry_call`.
 * :mod:`~repro.resilience.breaker` — the serving
   :class:`CircuitBreaker`.
 * :mod:`~repro.resilience.stats` — process-wide recovery counters
-  (``shard_retries``, ``pool_rebuilds``, ``degradations``,
-  ``index_quarantines``, ...) surfaced by ``Engine.cache_info()``.
+  (``shard_retries``, ``degradations``, ``index_quarantines``, ...)
+  surfaced by ``Engine.cache_info()``.
 """
 
 from .breaker import CircuitBreaker
@@ -36,7 +36,6 @@ from .faults import (
     arming,
     checkpoint,
     disarm,
-    mark_pool_worker,
 )
 from .retry import RetryPolicy, retry_call
 from .stats import COUNTER_NAMES, ResilienceStats, resilience_stats
@@ -55,7 +54,6 @@ __all__ = [
     "arming",
     "checkpoint",
     "disarm",
-    "mark_pool_worker",
     "resilience_stats",
     "retry_call",
 ]

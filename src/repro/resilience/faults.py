@@ -15,19 +15,10 @@ A :class:`FaultPlan` arms a seeded, deterministic schedule of
 :class:`FaultSpec` entries against those sites:
 
 ``crash``
-    Inside a process-pool worker, the worker dies hard
-    (``os._exit``) — the parent observes a genuine
-    ``BrokenProcessPool``, exactly like a SIGKILLed or OOM-killed
-    worker. Workers are identified *explicitly*: the shard pools pass
-    :func:`mark_pool_worker` as their executor initializer, so a
-    process is only killed when it declared itself expendable.
-    (``multiprocessing.parent_process()`` is not a safe signal — the
-    engine or server itself may legitimately run inside a
-    ``multiprocessing.Process``, e.g. under a prefork server or a
-    forking test harness, and killing *that* would take the whole
-    service down instead of degrading.) Everywhere else — threads,
-    the main process, any unmarked child — the fault degrades to
-    raising :class:`InjectedFault`, which the recovery ladder absorbs.
+    The checkpoint raises :class:`InjectedFault`, modelling a lost
+    worker. Shard work runs on threads of the process that hosts the
+    engine, so a crash never kills a process: that would take the whole
+    service down instead of exercising the recovery ladder.
 ``slow``
     The checkpoint sleeps for ``delay`` seconds (a straggler shard).
 ``corrupt`` / ``io``
@@ -35,27 +26,23 @@ A :class:`FaultPlan` arms a seeded, deterministic schedule of
     :class:`~repro.errors.ResilienceError`), modelling a corrupted
     index page or a transient I/O error respectively.
 
-Hit counters live in :mod:`multiprocessing` shared memory created at
-construction time, so fork-inherited pool workers consume the *same*
-fault budget as the parent: a ``times=1`` crash fires exactly once
-even across pool rebuilds — without shared counters every re-forked
-worker would inherit a zero count and crash forever.
+One lock guards a plan's hit counters, so concurrent shard threads
+consume the *same* fault budget: a ``times=1`` fault fires exactly
+once however many threads reach its site.
 
 Determinism: which hit fires depends only on the per-site hit number
 (and, for ``rate`` specs, on the plan ``seed``), never on wall-clock
-time or process identity.
+time or on which thread reached the site.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
+import threading
 import time
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
 
 from ..errors import ResilienceError
 from .stats import resilience_stats
@@ -70,39 +57,10 @@ __all__ = [
     "armed_plan",
     "arming",
     "checkpoint",
-    "mark_pool_worker",
 ]
 
 #: Failure modes a :class:`FaultSpec` can inject.
 FAULT_KINDS = ("crash", "slow", "corrupt", "io")
-
-#: Exit status of a deliberately crashed pool worker (visible in the
-#: parent's ``BrokenProcessPool`` message; any non-zero value works).
-CRASH_EXIT_CODE = 13
-
-#: Has *this* process declared itself an expendable pool worker?
-#: Set by :func:`mark_pool_worker` (an executor initializer), never
-#: inferred from process ancestry: being a multiprocessing child does
-#: not make a process safe to ``os._exit`` — the engine or server may
-#: itself run inside a ``multiprocessing.Process``.
-_pool_worker = False
-
-
-def mark_pool_worker() -> None:
-    """Declare the current process an expendable pool worker.
-
-    Pass as the ``initializer=`` of a ``ProcessPoolExecutor`` whose
-    workers a ``crash`` fault may kill (``core/parallel`` does). Only
-    marked processes die hard; everywhere else the fault degrades to
-    :class:`InjectedFault` so the recovery ladder can absorb it.
-    """
-    global _pool_worker
-    _pool_worker = True
-
-
-def in_pool_worker() -> bool:
-    """Is this process a marked pool worker? (test hook)"""
-    return _pool_worker
 
 
 class InjectedFault(ResilienceError):
@@ -110,8 +68,8 @@ class InjectedFault(ResilienceError):
 
     Typed (via :class:`~repro.errors.ResilienceError`) so the chaos
     suite can distinguish a deliberately surfaced failure from a
-    silently wrong answer, and picklable so process-pool workers can
-    send it back to the parent.
+    silently wrong answer, and picklable with its ``site`` and ``kind``
+    (default exception pickling would drop them).
     """
 
     def __init__(self, site: str, kind: str) -> None:
@@ -190,47 +148,41 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, deterministic schedule of faults across checkpoints.
 
-    Hit counters are shared-memory values (fork-inherited by pool
-    workers) synchronized by their own locks; the plan object itself
-    holds no further mutable state, so one plan may be armed while
-    queries run on many threads and processes at once.
+    One lock guards the per-spec hit counters; the plan holds no other
+    mutable state, so one plan may be armed while queries run on many
+    threads at once.
+
+    # guarded-by: _lock: _hits
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = (), seed: int = 0) -> None:
         self.specs = tuple(specs)
         self.seed = int(seed)
-        self._hits = tuple(
-            multiprocessing.Value("l", 0) for _ in self.specs
-        )
-        by_site: dict[str, list[tuple[FaultSpec, Any]]] = {}
-        for spec, counter in zip(self.specs, self._hits):
-            by_site.setdefault(spec.site, []).append((spec, counter))
+        self._lock = threading.Lock()
+        self._hits = [0] * len(self.specs)
+        by_site: dict[str, list[tuple[int, FaultSpec]]] = {}
+        for index, spec in enumerate(self.specs):
+            by_site.setdefault(spec.site, []).append((index, spec))
         self._by_site = {site: tuple(entries) for site, entries in by_site.items()}
 
     def hits(self, site: str) -> int:
         """Total observed hits of ``site``'s first spec (test hook)."""
-        total = 0
-        for _spec, counter in self._by_site.get(site, ()):
-            with counter.get_lock():
-                total = max(total, int(counter.value))
-        return total
+        entries = self._by_site.get(site, ())
+        with self._lock:
+            return max((self._hits[index] for index, _spec in entries), default=0)
 
     def hit(self, site: str) -> None:
         """Record one observation of ``site`` and fire any due fault."""
-        for spec, counter in self._by_site.get(site, ()):
-            with counter.get_lock():
-                hit = int(counter.value)
-                counter.value = hit + 1
+        for index, spec in self._by_site.get(site, ()):
+            with self._lock:
+                hit = self._hits[index]
+                self._hits[index] = hit + 1
             if not spec.fires(hit, self.seed):
                 continue
             resilience_stats().record("faults_injected")
             if spec.kind == "slow":
                 time.sleep(spec.delay)
                 continue
-            if spec.kind == "crash" and _pool_worker:
-                # A real worker death: the parent sees BrokenProcessPool,
-                # exactly as if the OOM killer took the worker.
-                os._exit(CRASH_EXIT_CODE)
             raise InjectedFault(site, spec.kind)
 
     def __repr__(self) -> str:

@@ -17,8 +17,7 @@ __all__ = ["COUNTER_NAMES", "ResilienceStats", "resilience_stats"]
 #: Every counter the accumulator tracks, in reporting order.
 COUNTER_NAMES = (
     "shard_retries",       # failed shard tasks re-executed
-    "pool_rebuilds",       # broken process pools torn down and re-forked
-    "degradations",        # executor ladder steps (process→thread→serial)
+    "degradations",        # executor ladder steps (thread→serial)
     "index_quarantines",   # indexes dropped after load/maintenance failures
     "delta_failures",      # delta applications that dirtied a live handle
     "breaker_opens",       # serving circuit-breaker trips

@@ -655,9 +655,9 @@ class KSJQServer:
                 },
             )
         if isinstance(outcome, ResilienceError):
-            # The recovery ladder (retry -> pool rebuild -> degrade to
-            # threads/serial) ran dry: a typed 503, never a traceback
-            # and never an unverified answer.
+            # The recovery ladder (thread retries -> serial) ran dry:
+            # a typed 503, never a traceback and never an unverified
+            # answer.
             self.metrics.observe(route, service_seconds, error=True, degraded=True)
             return json_response(
                 503,

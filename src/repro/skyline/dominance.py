@@ -45,7 +45,7 @@ __all__ = [
 #: Element budget of one broadcast temporary in :func:`k_dominated_any`
 #: (vectors x rows x attributes). 2^22 bools is a ~4 MiB comparison
 #: block — big enough to amortize numpy dispatch, small enough to stay
-#: cache- and fork-friendly when several workers run concurrently.
+#: cache-friendly when several workers run concurrently.
 _BLOCK_ELEMENT_BUDGET = 1 << 22
 
 

@@ -1,4 +1,4 @@
-"""R4 fixture: process fan-out outside the parallel execution layer."""
+"""R4 fixture: process fan-out from an arbitrary library module."""
 
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
-"""R4 fixture: in the parallel layer but missing the main-thread check.
+"""R4 fixture: process fan-out inside the parallel layer itself.
 
-Forking while sibling batch-lane threads run risks child processes
-inheriting locks held mid-operation; the construction must sit under
-``threading.current_thread() is threading.main_thread()``.
+The parallel layer gets no exemption: shard work runs on threads, and
+forking while sibling batch-lane threads run risks child processes
+inheriting locks held mid-operation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def unguarded_map(fn: Callable[[int], int], items: Sequence[int]) -> list[int]:
-    """Process pool without the main-thread guard (WRONG)."""
+    """Process pool in the parallel layer (WRONG)."""
     with ProcessPoolExecutor(max_workers=2) as pool:
         return list(pool.map(fn, items))

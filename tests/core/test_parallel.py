@@ -29,7 +29,7 @@ from ..helpers import make_random_pair
 
 def thread_plan(workers: int, n_rows: int = 0) -> ShardPlan:
     """A fixed thread-pool shard plan for deterministic tests."""
-    return ShardPlan(workers, n_rows, "thread" if workers > 1 else "serial", "test")
+    return ShardPlan(workers, n_rows, "test")
 
 
 # ----------------------------------------------------------------------
@@ -58,7 +58,7 @@ class TestPlanShards:
         plan = plan_shards(100_000, 4)
         assert plan.workers == 4
         assert plan.n_shards == 4
-        assert plan.executor in ("process", "thread")
+        assert plan.executor == "thread"
 
     def test_explicit_one_is_serial(self):
         assert not plan_shards(100_000, 1).is_parallel
@@ -66,18 +66,10 @@ class TestPlanShards:
     def test_workers_never_exceed_rows(self):
         assert plan_shards(3, 8).workers <= 3
 
-    def test_small_shards_use_threads_large_use_processes(self):
-        small = plan_shards(10_000, 4)
-        assert small.executor == "thread"
-        big = plan_shards(1_000_000, 4)
-        assert big.executor == "process"
-
-    def test_joined_width_feeds_the_executor_choice(self):
-        # Same row count, wider rows -> bigger shard payload -> processes.
-        narrow = plan_shards(100_000, 4, width=2)
-        assert narrow.executor == "thread"
-        wide = plan_shards(100_000, 4, width=16)
-        assert wide.executor == "process"
+    def test_every_parallel_plan_uses_threads(self):
+        assert plan_shards(10_000, 4).executor == "thread"
+        assert plan_shards(1_000_000, 4).executor == "thread"
+        assert plan_shards(1_000_000, 1).executor == "serial"
 
     def test_capped_explicit_request_reports_the_cap(self):
         with batch_workers(available_cpus() * 2):
@@ -201,13 +193,6 @@ class TestRunParallel:
         plan = JoinPlan(left, right, aggregate="max")
         want = run_naive(plan, 5).pair_set()
         assert run_parallel(plan, 5, shards=thread_plan(4)).pair_set() == want
-
-    def test_process_pool_path_matches(self):
-        left, right = make_random_pair(seed=24, n=90, d=4, g=3)
-        plan = JoinPlan(left, right)
-        want = run_naive(plan, 6).pair_set()
-        shards = ShardPlan(2, plan.stats().join_size, "process", "test")
-        assert run_parallel(plan, 6, shards=shards).pair_set() == want
 
     def test_empty_relation(self):
         schema_matrix = np.empty((0, 3))

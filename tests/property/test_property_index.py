@@ -38,7 +38,7 @@ DISTRIBUTIONS = ("independent", "correlated", "anticorrelated")
 
 
 def thread_plan(workers: int) -> ShardPlan:
-    return ShardPlan(workers, 0, "thread" if workers > 1 else "serial", "test")
+    return ShardPlan(workers, 0, "test")
 
 
 def k_bounds(left, right):

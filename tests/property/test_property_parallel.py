@@ -24,7 +24,7 @@ WORKER_COUNTS = (1, 2, 4)
 
 
 def thread_plan(workers: int) -> ShardPlan:
-    return ShardPlan(workers, 0, "thread" if workers > 1 else "serial", "test")
+    return ShardPlan(workers, 0, "test")
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ K = 6  # valid mid-range k for d=4, a=1 pairs
 
 
 def thread_plan(workers: int) -> ShardPlan:
-    return ShardPlan(workers, 0, "thread" if workers > 1 else "serial", "test")
+    return ShardPlan(workers, 0, "test")
 
 
 @pytest.fixture(autouse=True)

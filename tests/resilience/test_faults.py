@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -24,20 +26,15 @@ from repro.resilience import (
     arming,
     checkpoint,
     disarm,
-    mark_pool_worker,
     resilience_stats,
 )
-from repro.resilience.faults import CRASH_EXIT_CODE
 
 
-def _crash_probe_child(conn, marked: bool) -> None:
+def _crash_probe_child(conn) -> None:
     """Run one crash-fault checkpoint in a child process.
 
-    Reports ``"raised"`` when the fault degraded to a typed raise; a
-    marked worker instead dies hard (``os._exit``) before reporting.
+    Reports ``"raised"`` when the fault surfaced as a typed raise.
     """
-    if marked:
-        mark_pool_worker()
     plan = FaultPlan([FaultSpec("probe.site", kind="crash", times=1)])
     try:
         with arming(plan):
@@ -102,6 +99,34 @@ class TestFaultPlan:
             plan.hit("site")  # budget spent: clean from now on
         assert plan.hits("site") == 6
 
+    def test_concurrent_hits_share_one_fault_budget(self):
+        """Shard threads hit one armed plan at once: a ``times=1`` fault
+        fires exactly once and no hit is lost."""
+        plan = FaultPlan([FaultSpec("site", kind="io", times=1)])
+        n_threads, n_hits = 8, 500
+        fired: list[int] = []
+
+        def hammer() -> None:
+            for _ in range(n_hits):
+                try:
+                    plan.hit("site")
+                except InjectedFault:
+                    fired.append(1)
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(fired) == 1
+        assert plan.hits("site") == n_threads * n_hits
+
     def test_unknown_site_is_a_clean_pass(self):
         plan = FaultPlan([FaultSpec("site", kind="io")])
         plan.hit("elsewhere")
@@ -150,34 +175,23 @@ class TestArming:
 
 
 class TestCrashScoping:
-    """``crash`` faults may only kill processes that *declared*
-    themselves expendable pool workers via :func:`mark_pool_worker`.
+    """``crash`` faults raise a typed :class:`InjectedFault` and never
+    kill the process they fire in.
 
-    Regression: worker-ness used to be inferred from
-    ``multiprocessing.parent_process()``, which is true of ANY
-    multiprocessing child — an engine or server legitimately running
-    inside a ``multiprocessing.Process`` (prefork servers, forking test
-    harnesses) would be killed outright instead of degrading to a
-    typed raise the recovery ladder can absorb.
+    Regression: an engine or server may legitimately run inside a
+    ``multiprocessing.Process`` (prefork servers, forking test
+    harnesses); a crash fault there must surface as a raise the
+    recovery ladder can absorb, not take the whole service down.
     """
 
     def test_crash_in_unmarked_multiprocessing_child_degrades_to_raise(self):
         ctx = _fork_ctx()
         parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_crash_probe_child, args=(child, False))
+        proc = ctx.Process(target=_crash_probe_child, args=(child,))
         proc.start()
         proc.join(30)
         assert proc.exitcode == 0  # survived: the fault raised, typed
         assert parent.recv() == "raised"
-
-    def test_crash_in_marked_pool_worker_dies_hard(self):
-        ctx = _fork_ctx()
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(target=_crash_probe_child, args=(child, True))
-        proc.start()
-        proc.join(30)
-        assert proc.exitcode == CRASH_EXIT_CODE  # a genuine worker death
-        assert not parent.poll()  # it never got to report anything
 
     def test_crash_in_the_main_process_degrades_to_raise(self):
         with arming(FaultPlan([FaultSpec("site", kind="crash", times=1)])):

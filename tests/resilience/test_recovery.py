@@ -1,13 +1,13 @@
-"""Regression tests for the recovery ladder: worker crashes, transient
-shard faults, degradation, and index quarantine.
+"""Regression tests for the recovery ladder: transient shard faults,
+degradation to serial, and index quarantine.
 
 The load-bearing property throughout: recovery never changes the
 answer. k-dominance is non-transitive, so the parallel path's
 mandatory cross-shard verification re-checks every merged candidate
 against the full matrix — which is exactly why re-executing a failed
-shard (on a rebuilt pool, on threads, or serially) is provably
-answer-preserving. Every test asserts *byte identity* against the
-clean serial ground truth, not set equality.
+shard (on threads or serially) is provably answer-preserving. Every
+test asserts *byte identity* against the clean serial ground truth,
+not set equality.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import pytest
 
 from repro.api import Engine, QuerySpec
 from repro.core import JoinPlan, run_naive, run_parallel
-from repro.core.parallel import ShardPlan
+from repro.core.parallel import SHARD_RETRY_POLICY, ShardPlan, _map_tasks
 from repro.errors import ResilienceError
-from repro.resilience import FaultPlan, FaultSpec, arming, resilience_stats
+from repro.resilience import FaultPlan, FaultSpec, InjectedFault, arming, resilience_stats
 
 from ..helpers import make_random_pair
 
@@ -32,53 +32,38 @@ def make_plan(seed: int = 7, n: int = 48) -> tuple[JoinPlan, object]:
 
 
 class TestShardRecovery:
-    def test_transient_fault_is_retried_in_place_on_threads(self):
+    @pytest.mark.parametrize(
+        ("site", "kind"), [("shard.verify", "io"), ("shard.candidates", "crash")]
+    )
+    def test_transient_fault_is_retried_in_place_on_threads(self, site, kind):
         plan, want = make_plan()
-        faults = FaultPlan([FaultSpec("shard.verify", kind="io", times=1)])
+        faults = FaultPlan([FaultSpec(site, kind=kind, times=1)])
         with arming(faults):
-            got = run_parallel(plan, K, shards=ShardPlan(4, 0, "thread", "test"))
+            got = run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
         assert got.pairs.tobytes() == want.pairs.tobytes()
         snap = resilience_stats().snapshot()
         assert snap["faults_injected"] == 1
         assert snap["shard_retries"] >= 1
         assert snap["degradations"] == 0  # recovered on the same rung
 
-    def test_worker_crash_mid_verify_rebuilds_pool_and_stays_exact(self):
-        """Satellite (a): a process-pool worker dies hard (``os._exit``,
-        the parent sees a genuine ``BrokenProcessPool``) in the middle
-        of cross-shard verification; only the failed shard buckets are
-        re-executed on a rebuilt pool, and the answer is byte-identical
-        to the clean serial run."""
-        plan, want = make_plan()
-        faults = FaultPlan([FaultSpec("shard.verify", kind="crash", times=1)])
-        with arming(faults):
-            got = run_parallel(plan, K, shards=ShardPlan(2, 0, "process", "test"))
-        assert got.pairs.tobytes() == want.pairs.tobytes()
-        snap = resilience_stats().snapshot()
-        assert snap["pool_rebuilds"] >= 1
-        assert snap["shard_retries"] >= 1
+    def test_serial_rung_reruns_only_the_unfinished_tasks(self):
+        """Regression: when the thread rung gives up, the serial rung
+        re-runs only the tasks it could not finish — buckets that
+        already succeeded are not executed again."""
+        calls = dict.fromkeys(range(4), 0)
 
-    def test_crash_during_candidate_generation_is_recovered_too(self):
-        plan, want = make_plan(seed=11)
-        faults = FaultPlan([FaultSpec("shard.candidates", kind="crash", times=1)])
-        with arming(faults):
-            got = run_parallel(plan, K, shards=ShardPlan(2, 0, "process", "test"))
-        assert got.pairs.tobytes() == want.pairs.tobytes()
-        assert resilience_stats().snapshot()["pool_rebuilds"] >= 1
+        def fn(task: tuple) -> int:
+            (index,) = task
+            calls[index] += 1
+            if index == 2 and calls[index] <= SHARD_RETRY_POLICY.max_attempts:
+                raise InjectedFault("test.site", "io")
+            return index * 10
 
-    def test_transient_task_fault_keeps_the_process_pool_alive(self):
-        """Regression: a task-level transient (an injected I/O fault
-        raised *inside* a worker) must retry on the live pool — no
-        teardown, no ``pool_rebuilds`` count, no re-fork cost. Only an
-        actual ``BrokenProcessPool`` justifies a rebuild."""
-        plan, want = make_plan(seed=13)
-        faults = FaultPlan([FaultSpec("shard.verify", kind="io", times=1)])
-        with arming(faults):
-            got = run_parallel(plan, K, shards=ShardPlan(2, 0, "process", "test"))
-        assert got.pairs.tobytes() == want.pairs.tobytes()
-        snap = resilience_stats().snapshot()
-        assert snap["shard_retries"] >= 1
-        assert snap["pool_rebuilds"] == 0  # the pool never broke
+        tasks = [(i,) for i in range(4)]
+        results = _map_tasks(fn, tasks, ShardPlan(4, 4, "test"))
+        assert results == [0, 10, 20, 30]
+        assert calls == {0: 1, 1: 1, 2: 4, 3: 1}
+        assert resilience_stats().snapshot()["degradations"] == 1
 
     def test_persistent_fault_degrades_then_surfaces_typed(self):
         """A fault no rung can outlast must end in a typed
@@ -87,7 +72,7 @@ class TestShardRecovery:
         faults = FaultPlan([FaultSpec("shard.verify", kind="corrupt", times=None)])
         with arming(faults):
             with pytest.raises(ResilienceError):
-                run_parallel(plan, K, shards=ShardPlan(4, 0, "thread", "test"))
+                run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
         assert resilience_stats().snapshot()["degradations"] >= 1
 
     def test_slow_fault_is_just_a_straggler(self):
@@ -96,7 +81,7 @@ class TestShardRecovery:
             [FaultSpec("shard.verify", kind="slow", times=2, delay=0.002)]
         )
         with arming(faults):
-            got = run_parallel(plan, K, shards=ShardPlan(4, 0, "thread", "test"))
+            got = run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
         assert got.pairs.tobytes() == want.pairs.tobytes()
         assert resilience_stats().snapshot()["shard_retries"] == 0
 

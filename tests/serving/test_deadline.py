@@ -170,7 +170,7 @@ def test_sharded_presets_stop_scanning_candidates_at_expiry(preset, monkeypatch)
     )
     plan = JoinPlan(left, right)
     k = 8
-    shards = ShardPlan(2, plan.stats().join_size, "thread", "test")
+    shards = ShardPlan(2, plan.stats().join_size, "test")
     if preset == "parallel":
         rows = plan.stats().join_size
 
@@ -218,7 +218,7 @@ def test_cold_cell_pruning_scan_stops_at_expiry(monkeypatch):
     partition = plan.cell_partition(first, last)
     cells = partition.n_cells
     assert cells > 2 * DEADLINE_VERIFY_CHUNK, "fixture too small"
-    shards = ShardPlan(1, plan.stats().join_size, "serial", "test")
+    shards = ShardPlan(1, plan.stats().join_size, "test")
 
     scanned = []
     kernel = index.cells_k_dominated

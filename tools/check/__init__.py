@@ -17,10 +17,9 @@ commit. Two layers:
   - **R3 fingerprint-completeness** — every field of a fingerprinted
     dataclass (``QuerySpec``) must feed ``fingerprint()``; a field
     missing from the digest silently poisons result caches.
-  - **R4 fork-safety** — ``ProcessPoolExecutor`` may only be
-    constructed in the parallel execution layer, behind its
-    main-thread check (forking with sibling threads running risks
-    inheriting locks held mid-operation).
+  - **R4 fork-safety** — no query forks: the library never
+    constructs a ``ProcessPoolExecutor`` (forking with sibling threads
+    running risks inheriting locks held mid-operation).
   - **R5 async-executor-discipline** — serving-package ``async def``
     bodies must not call blocking engine entry points or acquire
     locks directly; engine work goes through ``loop.run_in_executor``

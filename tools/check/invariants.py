@@ -33,11 +33,11 @@ method body. A field missing from the digest makes two semantically
 different values collide — silently poisoning every cache keyed on the
 fingerprint.
 
-R4 — **fork-safety.** ``ProcessPoolExecutor`` may only be constructed
-inside the parallel execution layer (a module named ``parallel.py``),
-and only under its main-thread check: forking while sibling threads
-run (``execute_many`` batch lanes) risks child processes inheriting
-locks held mid-operation.
+R4 — **fork-safety.** No query forks: the library never constructs a
+``ProcessPoolExecutor``. Sharded work runs on one thread pool that
+reads the joined matrix in place; forking while sibling threads run
+(``execute_many`` batch lanes, the serving executor) risks child
+processes inheriting locks held mid-operation.
 
 R5 — **async-executor-discipline.** In the serving package (any file
 under a ``serving`` directory), ``async def`` bodies must never call a
@@ -133,7 +133,7 @@ RECOVERY_ROUTE_MARKERS = (
 
 
 def check_file(path: Path) -> list[Diagnostic]:
-    """All R1-R4 diagnostics for one Python source file."""
+    """All R1-R6 diagnostics for one Python source file."""
     try:
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
@@ -425,14 +425,6 @@ def _check_fingerprint_completeness(path: Path, tree: ast.Module) -> list[Diagno
 # ----------------------------------------------------------------------
 # R4: fork-safety
 # ----------------------------------------------------------------------
-def _mentions_main_thread(node: ast.AST) -> bool:
-    return any(
-        (isinstance(sub, ast.Attribute) and sub.attr == "main_thread")
-        or (isinstance(sub, ast.Name) and sub.id == "main_thread")
-        for sub in ast.walk(node)
-    )
-
-
 def _check_fork_safety(path: Path, tree: ast.Module) -> list[Diagnostic]:
     diagnostics = []
     for call in ast.walk(tree):
@@ -440,29 +432,16 @@ def _check_fork_safety(path: Path, tree: ast.Module) -> list[Diagnostic]:
             continue
         func = call.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name != "ProcessPoolExecutor":
-            continue
-        if path.name != "parallel.py":
+        if name == "ProcessPoolExecutor":
             diagnostics.append(
                 Diagnostic(
                     path,
                     call.lineno,
                     "R4",
-                    "fork-safety: ProcessPoolExecutor constructed outside the "
-                    "parallel execution layer (core/parallel.py); all process "
-                    "fan-out must go through its guarded _map_tasks path",
-                )
-            )
-        elif not _guarded_by_main_thread_check(tree, call):
-            diagnostics.append(
-                Diagnostic(
-                    path,
-                    call.lineno,
-                    "R4",
-                    "fork-safety: ProcessPoolExecutor construction is not "
-                    "inside a main-thread check (threading.current_thread() "
-                    "is threading.main_thread()); forking with sibling "
-                    "threads running risks inheriting held locks",
+                    "fork-safety: ProcessPoolExecutor constructed; no query "
+                    "forks — shard work runs on the thread pool of "
+                    "core/parallel.py, and forking with sibling threads "
+                    "running risks inheriting held locks",
                 )
             )
     return diagnostics
@@ -613,37 +592,3 @@ def _check_swallowed_recovery(path: Path, tree: ast.Module) -> list[Diagnostic]:
                 )
             )
     return diagnostics
-
-
-def _guarded_by_main_thread_check(tree: ast.Module, call: ast.Call) -> bool:
-    """Is ``call`` lexically inside an ``if`` testing the main thread?
-
-    The test may reference ``threading.main_thread()`` directly or a
-    local name assigned from an expression that does.
-    """
-    for fn in _function_defs(tree):
-        guard_names = {
-            target.id
-            for stmt in ast.walk(fn)
-            if isinstance(stmt, ast.Assign) and _mentions_main_thread(stmt.value)
-            for target in stmt.targets
-            if isinstance(target, ast.Name)
-        }
-
-        def guards(test: ast.AST) -> bool:
-            return _mentions_main_thread(test) or any(
-                isinstance(sub, ast.Name) and sub.id in guard_names
-                for sub in ast.walk(test)
-            )
-
-        stack: list[tuple[ast.AST, bool]] = [(fn, False)]
-        while stack:
-            node, guarded = stack.pop()
-            if node is call:
-                return guarded
-            for child in ast.iter_child_nodes(node):
-                child_guarded = guarded
-                if isinstance(node, ast.If) and child in node.body and guards(node.test):
-                    child_guarded = True
-                stack.append((child, child_guarded))
-    return False
