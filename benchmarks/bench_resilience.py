@@ -24,7 +24,8 @@ import pytest
 
 from repro.core import JoinPlan, run_naive, run_parallel
 from repro.core.parallel import ShardPlan
-from repro.resilience import FaultPlan, FaultSpec, arming, checkpoint, resilience_stats
+from repro.metrics import Metrics
+from repro.resilience import FaultPlan, FaultSpec, arming, checkpoint
 
 from .conftest import dataset, record_artifact
 
@@ -87,16 +88,16 @@ def test_disarmed_checkpoint_overhead(benchmark):
 def test_transient_fault_recovery_latency(benchmark):
     """One transient I/O fault, retried in place on the thread rung."""
     plan, want = _plan_and_truth()
+    metrics = Metrics()
 
     def recover():
-        resilience_stats().reset()
         faults = FaultPlan([FaultSpec("shard.verify", kind="io", times=1)])
-        with arming(faults):
+        with arming(faults), metrics.activate():
             return run_parallel(plan, K, shards=_shards(4))
 
     result = benchmark.pedantic(recover, rounds=1, iterations=1, warmup_rounds=0)
     assert result.pairs.tobytes() == want.pairs.tobytes()
-    assert resilience_stats().snapshot()["shard_retries"] >= 1
+    assert metrics.snapshot()["shard_retries"] >= 1
     elapsed = benchmark.stats.stats.total
     clean = _clean_elapsed.get("thread")
     if clean:

@@ -35,17 +35,15 @@ from ..core.cost import choose_algorithm
 from ..core.incremental import MaintainedResult
 from .builder import QueryBuilder
 from .catalog import Catalog
-from .engine import CacheStats, Engine, ExplainReport, MaintenanceStats
+from .engine import Engine, ExplainReport
 from .handle import QueryHandle
 from .spec import QuerySpec
 
 __all__ = [
-    "CacheStats",
     "Catalog",
     "Engine",
     "ExplainReport",
     "MaintainedResult",
-    "MaintenanceStats",
     "QueryBuilder",
     "QueryHandle",
     "QuerySpec",

@@ -37,10 +37,10 @@ import threading
 import weakref
 from typing import TYPE_CHECKING
 
-from ..core.index import DominanceIndex, IndexStats
+from ..core.index import DominanceIndex
 from ..errors import CatalogError
+from ..metrics import Metrics
 from ..relational.dataset import Dataset, MutationDelta
-from ..resilience import resilience_stats
 from ..relational.relation import Relation
 
 if TYPE_CHECKING:
@@ -67,7 +67,12 @@ class Catalog:
     ``Dataset._lock`` (e.g. :meth:`versions`), never the reverse —
     datasets notify listeners only after releasing their own lock.
 
-    # guarded-by: _lock: _datasets, _subscribers, _delta_subscribers, _indexes, _index_stats
+    :attr:`metrics` counts the index life cycle (``index_builds`` /
+    ``index_hits`` / ``index_invalidations`` / ``index_maintained``)
+    and failed index maintenance (``index_quarantines``), for every
+    engine this catalog serves.
+
+    # guarded-by: _lock: _datasets, _subscribers, _delta_subscribers, _indexes
     """
 
     def __init__(self) -> None:
@@ -77,7 +82,7 @@ class Catalog:
         # re-register mints a new uid, so a successor dataset can never
         # inherit its predecessor's index.
         self._indexes: dict[int, _IndexEntry] = {}
-        self._index_stats = IndexStats()
+        self.metrics = Metrics()
         # Bound-method subscribers (engine invalidation hooks) are held
         # weakly: a shared catalog must not keep every engine that ever
         # subscribed — and its caches — alive forever.
@@ -199,19 +204,18 @@ class Catalog:
         with self._lock:
             entry = self._indexes.get(dataset.uid)
             if entry is not None and entry.relation is relation:
-                self._index_stats.hits += 1
+                self.metrics.add("index_hits")
                 return entry.index
         current, version = dataset.snapshot()
         if current is not relation:
+            index = DominanceIndex.build(relation)
+        else:
+            index = DominanceIndex.build(
+                relation, token=("ds", dataset.name, dataset.uid, version)
+            )
             with self._lock:
-                self._index_stats.builds += 1
-            return DominanceIndex.build(relation)
-        index = DominanceIndex.build(
-            relation, token=("ds", dataset.name, dataset.uid, version)
-        )
-        with self._lock:
-            self._index_stats.builds += 1
-            self._indexes[dataset.uid] = _IndexEntry(relation, version, index)
+                self._indexes[dataset.uid] = _IndexEntry(relation, version, index)
+        self.metrics.add("index_builds")
         return index
 
     def peek_dominance_index(
@@ -226,20 +230,6 @@ class Catalog:
             return entry.index
         return None
 
-    def record_index_build(self, built: bool) -> None:
-        """Count a plan-local (non-persisted) index build or re-use, so
-        ``cache_info`` reflects every index the engine touched."""
-        with self._lock:
-            if built:
-                self._index_stats.builds += 1
-            else:
-                self._index_stats.hits += 1
-
-    def index_info(self) -> dict[str, int]:
-        """Snapshot of the index life-cycle counters."""
-        with self._lock:
-            return self._index_stats.as_dict()
-
     def quarantine_index(self, dataset: Dataset) -> None:
         """Drop the persisted index entry for ``dataset`` after a
         failure (resilience quarantine: the engine's indexed dispatch
@@ -248,8 +238,9 @@ class Catalog:
         of hitting the same poisoned entry forever). Counted as an
         invalidation in the life-cycle counters."""
         with self._lock:
-            if self._indexes.pop(dataset.uid, None) is not None:
-                self._index_stats.invalidations += 1
+            dropped = self._indexes.pop(dataset.uid, None)
+        if dropped is not None:
+            self.metrics.add("index_invalidations")
 
     def _maintain_index(self, dataset: Dataset, delta: MutationDelta) -> None:
         """Delta-feed maintenance: appends re-digitize the tail, all
@@ -278,16 +269,19 @@ class Catalog:
                     # popped) entry: count it and let the next indexed
                     # query rebuild from scratch. Never re-install a
                     # possibly half-maintained index.
-                    resilience_stats().record("index_quarantines")
-                    with self._lock:
-                        self._index_stats.invalidations += 1
+                    self._count_quarantine()
                     return
                 with self._lock:
                     self._indexes[dataset.uid] = _IndexEntry(current, version, index)
-                    self._index_stats.maintained += 1
+                self.metrics.add("index_maintained")
                 return
-        with self._lock:
-            self._index_stats.invalidations += 1
+        self.metrics.add("index_invalidations")
+
+    def _count_quarantine(self) -> None:
+        """Count an index dropped after failed maintenance: a
+        quarantine, and an invalidation in the life-cycle counters."""
+        self.metrics.add("index_quarantines")
+        self.metrics.add("index_invalidations")
 
     # ------------------------------------------------------------------
     # Mutation fan-out

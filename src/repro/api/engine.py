@@ -72,10 +72,11 @@ from ..core.plan import CascadePlan, CascadeStats, JoinPlan, PlanStats
 from ..core.progressive import ksjq_progressive
 from ..core.result import CascadeResult, FindKResult, KSJQResult, QueryResult
 from ..errors import AlgorithmError, DeadlineExceeded, ParameterError
+from ..metrics import Metrics
 from ..relational.aggregates import AggregateFunction, get_aggregate
 from ..relational.dataset import Dataset
 from ..relational.relation import Relation
-from ..resilience import armed_plan, resilience_stats
+from ..resilience import armed_plan
 from ..serving.deadline import Deadline
 from .catalog import Catalog
 from .spec import QuerySpec
@@ -90,12 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .builder import QueryBuilder, QueryInput
     from .handle import QueryHandle
 
-__all__ = [
-    "Engine",
-    "ExplainReport",
-    "CacheStats",
-    "MaintenanceStats",
-]
+__all__ = ["Engine", "ExplainReport"]
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,8 @@ class ExplainReport:
         or ``"disabled (use_index=False)"``.
     resilience:
         Fault-tolerance posture and recovery totals: whether a
-        :class:`~repro.resilience.FaultPlan` is armed, plus the
-        process-wide recovery counters (shard retries, thread → serial
+        :class:`~repro.resilience.FaultPlan` is armed, plus this
+        engine's recovery counters (shard retries, thread → serial
         degradations, index quarantines) accumulated so far.
     """
 
@@ -195,62 +191,6 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-@dataclass
-class CacheStats:
-    """Counters of one engine cache (plan or result).
-
-    ``invalidations`` counts entries dropped because a registered
-    dataset they were built over mutated to a new version.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "requests": self.requests,
-        }
-
-
-@dataclass
-class MaintenanceStats:
-    """Engine-wide counters of the delta-maintenance layer.
-
-    ``maintained`` counts mutations absorbed incrementally by a
-    :class:`~repro.core.incremental.MaintainedResult`;
-    ``fallback_recomputes`` those answered by a full recompute (delta
-    too large for the cost model, a ``replace``, a missed version, or a
-    spec outside the delta-capable family); ``delta_rows`` the base
-    rows inserted plus deleted across both; ``failed_deltas`` those
-    whose application failed and only dirtied the handle (the
-    recompute is deferred to the next read, so they count in none of
-    the other three).
-    """
-
-    maintained: int = 0
-    fallback_recomputes: int = 0
-    delta_rows: int = 0
-    failed_deltas: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "maintained": self.maintained,
-            "fallback_recomputes": self.fallback_recomputes,
-            "delta_rows": self.delta_rows,
-            "failed_deltas": self.failed_deltas,
-        }
-
-
 class Engine:
     """Prepare-once / execute-many entry point for every KSJQ problem.
 
@@ -297,7 +237,10 @@ class Engine:
 
     Concurrency contract (checked by the repo linter's R2 rule):
 
-    # guarded-by: _lock: _plans, _results, cache_stats, result_stats, _maintained, maintenance_stats, _serving_metrics
+    Counters live in :attr:`metrics`, the engine's one
+    :class:`~repro.metrics.Metrics` registry.
+
+    # guarded-by: _lock: _plans, _results, _maintained, _serving_metrics
     """
 
     def __init__(
@@ -318,12 +261,10 @@ class Engine:
         self._lock = threading.RLock()
         self._plans: OrderedDict[tuple[object, ...], object] = OrderedDict()
         self._results: OrderedDict[tuple[object, ...], QueryResult] = OrderedDict()
-        self.cache_stats = CacheStats()
-        self.result_stats = CacheStats()
+        self.metrics = Metrics()
         # Live maintained results, held weakly: an abandoned handle must
         # not be kept alive (and fed deltas) by the engine forever.
         self._maintained: list[weakref.ref[MaintainedResult]] = []
-        self.maintenance_stats = MaintenanceStats()
         # Serving-layer metrics, held weakly for the same reason: a
         # stopped server must not be kept alive by its engine.
         self._serving_metrics: weakref.ref[ServingMetrics] | None = None
@@ -423,7 +364,7 @@ class Engine:
                 indexes.append(self._catalog.dominance_index(dataset, relation))
             else:
                 index, built = plan.side_index(side)
-                self._catalog.record_index_build(built)
+                self._catalog.metrics.add("index_builds" if built else "index_hits")
                 indexes.append(index)
         return indexes[0], indexes[1]
 
@@ -436,7 +377,7 @@ class Engine:
         dispatch: whatever broke (a corrupt index, a failed build), the
         quarantined entries are rebuilt from scratch on the next
         indexed query instead of poisoning every future one. Counted as
-        ``index_quarantines`` in the resilience snapshot.
+        ``index_quarantines`` in :attr:`metrics`.
         """
         if inputs:
             for pos in (0, -1):
@@ -444,7 +385,7 @@ class Engine:
                 if dataset is not None:
                     self._catalog.quarantine_index(dataset)
         plan.drop_side_indexes()
-        resilience_stats().record("index_quarantines")
+        self.metrics.add("index_quarantines")
 
     def _peek_index_state(
         self,
@@ -486,12 +427,14 @@ class Engine:
         version of the mutated dataset (current-version entries stay)."""
         uid, version = dataset.uid, dataset.version
         with self._lock:
-            for key in [k for k in self._plans if _stale(k[1], uid, version)]:
+            plans = [k for k in self._plans if _stale(k[1], uid, version)]
+            for key in plans:
                 del self._plans[key]
-                self.cache_stats.invalidations += 1
-            for key in [k for k in self._results if _stale(k[1], uid, version)]:
+            results = [k for k in self._results if _stale(k[1], uid, version)]
+            for key in results:
                 del self._results[key]
-                self.result_stats.invalidations += 1
+        self.metrics.add("plan_invalidations", len(plans))
+        self.metrics.add("result_invalidations", len(results))
 
     # ------------------------------------------------------------------
     # Delta maintenance routing
@@ -526,23 +469,6 @@ class Engine:
             self._maintained = [
                 ref for ref in self._maintained if ref() not in (None, handle)
             ]
-
-    def _record_maintenance(
-        self, delta_rows: int, fallback: bool, failed: bool = False
-    ) -> None:
-        """Handle hook: account one processed mutation in the engine-wide
-        maintenance counters (reported by :meth:`cache_info`). A failed
-        application only dirtied the handle — no rows were maintained
-        and no recompute ran — so it is tallied separately."""
-        with self._lock:
-            if failed:
-                self.maintenance_stats.failed_deltas += 1
-                return
-            self.maintenance_stats.delta_rows += delta_rows
-            if fallback:
-                self.maintenance_stats.fallback_recomputes += 1
-            else:
-                self.maintenance_stats.maintained += 1
 
     def maintain(
         self,
@@ -630,10 +556,10 @@ class Engine:
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
-                self.cache_stats.hits += 1
+                self.metrics.add("plan_hits")
                 self._plans.move_to_end(key)
                 return cached, True
-            self.cache_stats.misses += 1
+            self.metrics.add("plan_misses")
         plan = factory()
         if self.max_plans <= 0:
             return plan, False
@@ -644,7 +570,7 @@ class Engine:
             self._plans[key] = plan
             while len(self._plans) > self.max_plans:
                 self._plans.popitem(last=False)
-                self.cache_stats.evictions += 1
+                self.metrics.add("plan_evictions")
         return plan, False
 
     def plan(
@@ -738,37 +664,50 @@ class Engine:
         )
         return cast("CascadePlan", plan), hit
 
+    def _totals(self) -> dict[str, int]:
+        """This engine's counters plus its catalog's (the index life
+        cycle and failed index maintenance), summed by name."""
+        catalog = self._catalog.metrics.snapshot()
+        return {name: n + catalog[name] for name, n in self.metrics.snapshot().items()}
+
     def cache_info(self) -> dict[str, object]:
-        """Counters + size/capacity of the plan cache, the maintenance
-        counters (``maintained`` / ``fallback_recomputes`` /
-        ``delta_rows``), the dominance-index life cycle
-        (``index_builds`` / ``index_hits`` / ``index_invalidations`` /
+        """Render :meth:`_totals`: counters + size/capacity of the plan
+        cache, the maintenance counters (``maintained`` /
+        ``fallback_recomputes`` / ``delta_rows`` / ``failed_deltas``),
+        the dominance-index life cycle (``index_builds`` /
+        ``index_hits`` / ``index_invalidations`` /
         ``index_maintained``), under the ``"results"`` key the result
-        cache, and — when a serving front-end is attached — its
-        per-route counters under the ``"serving"`` key."""
+        cache, under ``"resilience"`` the recovery counters, and — when
+        a serving front-end is attached — its per-route counters under
+        the ``"serving"`` key."""
         with self._lock:
-            info: dict[str, object] = self.cache_stats.as_dict()
-            info["size"] = len(self._plans)
-            info["capacity"] = self.max_plans
-            info.update(self.maintenance_stats.as_dict())
-            results = self.result_stats.as_dict()
-            results["size"] = len(self._results)
-            results["capacity"] = self.max_results
-            info["results"] = results
-            metrics = (
+            n_plans, n_results = len(self._plans), len(self._results)
+            serving = (
                 self._serving_metrics() if self._serving_metrics is not None else None
             )
-        # Outside the engine lock: the catalog notifies this engine
-        # under its own lock, so taking the catalog lock while holding
-        # ours would invert that order.
-        info.update(self._catalog.index_info())
-        # Recovery counters (shard_retries / degradations /
-        # index_quarantines / ...) are process-wide — the shard
-        # executor has no engine reference — so every engine reports
-        # the same snapshot.
-        info["resilience"] = resilience_stats().snapshot()
-        if metrics is not None:
-            info["serving"] = metrics.snapshot()
+        totals = self._totals()
+
+        def cache(kind: str, size: int, capacity: int) -> dict[str, int]:
+            events = ("hits", "misses", "evictions", "invalidations")
+            block = {event: totals[f"{kind}_{event}"] for event in events}
+            block["requests"] = block["hits"] + block["misses"]
+            return {**block, "size": size, "capacity": capacity}
+
+        info: dict[str, object] = {**cache("plan", n_plans, self.max_plans)}
+        for name in ("maintained", "fallback_recomputes", "delta_rows", "failed_deltas"):
+            info[name] = totals[name]
+        info["results"] = cache("result", n_results, self.max_results)
+        for name in ("index_builds", "index_hits", "index_invalidations", "index_maintained"):
+            info[name] = totals[name]
+        info["resilience"] = {
+            "shard_retries": totals["shard_retries"],
+            "degradations": totals["degradations"],
+            "index_quarantines": totals["index_quarantines"],
+            "delta_failures": totals["failed_deltas"],  # one event, two names
+            "breaker_opens": totals["breaker_opens"],
+        }
+        if serving is not None:
+            info["serving"] = serving.snapshot()
         return info
 
     def attach_serving_metrics(self, metrics: "ServingMetrics") -> None:
@@ -886,7 +825,7 @@ class Engine:
             with self._lock:
                 hit = self._results.get(result_key)
                 if hit is not None:
-                    self.result_stats.hits += 1
+                    self.metrics.add("result_hits")
                     self._results.move_to_end(result_key)
                     if hit.spec == spec:
                         return hit
@@ -894,7 +833,7 @@ class Engine:
                     # algorithms (identical answers); provenance must
                     # still report the spec this caller asked for.
                     return hit.with_provenance(spec, hit.source)
-                self.result_stats.misses += 1
+                self.metrics.add("result_misses")
 
         plan = self._bind(inputs, spec)
         result = self._run(plan, spec, inputs).with_provenance(spec, plan)
@@ -906,7 +845,7 @@ class Engine:
                 self._results.move_to_end(result_key)
                 while len(self._results) > self.max_results:
                     self._results.popitem(last=False)
-                    self.result_stats.evictions += 1
+                    self.metrics.add("result_evictions")
         return result
 
     @staticmethod
@@ -942,15 +881,20 @@ class Engine:
         results recomputing from a stored plan, ``plan=`` overrides)
         pass nothing and the indexed path falls back to plan-local
         indexes.
+
+        The run counts into :attr:`metrics`: it is the calling thread's
+        active registry (:meth:`Metrics.activate`) for the duration, so
+        the shard executor's retries and degradations land here.
         """
-        if spec.problem == "ksjq":
-            return self._run_ksjq(plan, spec, inputs)
-        if isinstance(plan, CascadePlan):
-            raise ParameterError(
-                "find_k is only defined over two-way joins; run ksjq at "
-                "fixed k over a cascade instead"
-            )
-        return self._run_find_k(plan, spec)
+        with self.metrics.activate():
+            if spec.problem == "ksjq":
+                return self._run_ksjq(plan, spec, inputs)
+            if isinstance(plan, CascadePlan):
+                raise ParameterError(
+                    "find_k is only defined over two-way joins; run ksjq at "
+                    "fixed k over a cascade instead"
+                )
+            return self._run_find_k(plan, spec)
 
     def execute_many(
         self,
@@ -1195,7 +1139,7 @@ class Engine:
             cache_hit=cache_hit,
             shards=shards,
             index=index,
-            resilience=_resilience_line(),
+            resilience=_resilience_line(self._totals()),
         )
 
     def __repr__(self) -> str:
@@ -1213,7 +1157,7 @@ def _plan_args(
     return spec.join, spec.aggregate, spec.theta
 
 
-def _resilience_line() -> str:
+def _resilience_line(totals: dict[str, int]) -> str:
     """Posture + recovery totals for :attr:`ExplainReport.resilience`."""
     plan = armed_plan()
     posture = (
@@ -1221,12 +1165,11 @@ def _resilience_line() -> str:
         if plan is not None
         else "checkpoints disarmed"
     )
-    snap = resilience_stats().snapshot()
     return (
         f"{posture}; recovery ladder thread→serial; so far: "
-        f"{snap['shard_retries']} shard retries, "
-        f"{snap['degradations']} degradations, "
-        f"{snap['index_quarantines']} index quarantines"
+        f"{totals['shard_retries']} shard retries, "
+        f"{totals['degradations']} degradations, "
+        f"{totals['index_quarantines']} index quarantines"
     )
 
 

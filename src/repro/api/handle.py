@@ -75,7 +75,7 @@ class QueryHandle:
     def versions(self) -> tuple[object, ...]:
         """Current cache tokens of the handle's inputs.
 
-        Registered datasets report ``("ds", name, version)``; anonymous
+        Registered datasets report ``("ds", name, uid, version)``; anonymous
         relations report content fingerprints (which never change).
         """
         return self._engine.versions(*self._inputs)

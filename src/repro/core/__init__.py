@@ -27,15 +27,10 @@ from .cartesian import run_cartesian
 from .dominator import run_dominator
 from .find_k import find_k_at_least_delta, find_k_at_most_delta
 from .grouping import run_grouping
-from .incremental import (
-    DEFAULT_FALLBACK_RATIO,
-    MaintainedResult,
-    MaintenanceCounters,
-)
+from .incremental import DEFAULT_FALLBACK_RATIO, MaintainedResult
 from .index import (
     CellPartition,
     DominanceIndex,
-    IndexStats,
     run_cascade_indexed,
     run_indexed,
 )
@@ -69,7 +64,6 @@ __all__ = [
     "Categorization",
     "Category",
     "Fate",
-    "IndexStats",
     "FindKResult",
     "FindKStep",
     "Hop",
@@ -77,7 +71,6 @@ __all__ = [
     "KSJQParams",
     "KSJQResult",
     "MaintainedResult",
-    "MaintenanceCounters",
     "PHASES",
     "PhaseClock",
     "PlanStats",

@@ -40,14 +40,14 @@ through the engine, which is always correct.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ParameterError
+from ..metrics import Metrics
 from ..relational.join import JoinedView
-from ..resilience import checkpoint, resilience_stats
+from ..resilience import checkpoint
 from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
 from .plan import CascadePlan, JoinPlan
@@ -62,38 +62,11 @@ if TYPE_CHECKING:
     from ..relational.dataset import Dataset, MutationDelta
     from ..relational.relation import Relation
 
-__all__ = ["MaintainedResult", "MaintenanceCounters", "DEFAULT_FALLBACK_RATIO"]
+__all__ = ["MaintainedResult", "DEFAULT_FALLBACK_RATIO"]
 
 #: Maintain a delta only while its estimated cost stays below this
 #: fraction of the recompute cost; beyond it, recomputing is cheaper.
 DEFAULT_FALLBACK_RATIO = 0.5
-
-
-@dataclass
-class MaintenanceCounters:
-    """Per-handle maintenance statistics.
-
-    ``applied_deltas`` counts every mutation the handle answered
-    (incrementally or by recompute); ``fallback_recomputes`` the
-    subset answered by a full recompute; ``delta_rows`` the base rows
-    inserted plus deleted across them; ``failed_deltas`` mutations
-    whose application *failed* — those only dirty the handle (the
-    recompute is deferred to the next read) and are counted in none of
-    the other three.
-    """
-
-    applied_deltas: int = 0
-    fallback_recomputes: int = 0
-    delta_rows: int = 0
-    failed_deltas: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "applied_deltas": self.applied_deltas,
-            "fallback_recomputes": self.fallback_recomputes,
-            "delta_rows": self.delta_rows,
-            "failed_deltas": self.failed_deltas,
-        }
 
 
 def _winner_mask(pairs: IntMatrix, winner_pairs: IntMatrix) -> BoolVector:
@@ -137,7 +110,10 @@ class MaintainedResult:
     :meth:`result` read recomputes from fresh snapshots instead of
     re-raising forever (see ``docs/resilience.md``).
 
-    # guarded-by: _lock: _plan, _versions, _pairs, _matrix, _winners, _result, _closed, _counters, _dirty
+    Every processed mutation counts into the handle's :attr:`metrics`
+    and its engine's, under the same names (see :meth:`stats`).
+
+    # guarded-by: _lock: _plan, _versions, _pairs, _matrix, _winners, _result, _closed, _dirty
     """
 
     def __init__(
@@ -175,7 +151,7 @@ class MaintainedResult:
         self._lock = threading.RLock()
         self._closed = False
         self._dirty = False
-        self._counters = MaintenanceCounters()
+        self.metrics = Metrics()
         self._plan: JoinPlan | CascadePlan | None = None
         self._versions: dict[int, int] = {}
         self._pairs: IntMatrix = np.empty((0, 2), dtype=np.intp)
@@ -224,9 +200,23 @@ class MaintainedResult:
         return self.result().count
 
     def stats(self) -> dict[str, int]:
-        """Per-handle maintenance counters as a plain dict."""
-        with self._lock:
-            return self._counters.as_dict()
+        """Per-handle maintenance counters as a plain dict.
+
+        ``applied_deltas`` counts every mutation the handle answered
+        (incrementally or by recompute); ``fallback_recomputes`` the
+        subset answered by a full recompute; ``delta_rows`` the base
+        rows inserted plus deleted across them; ``failed_deltas``
+        mutations whose application *failed* — those only dirty the
+        handle (the recompute is deferred to the next read) and are
+        counted in none of the other three.
+        """
+        counts = self.metrics.snapshot()
+        return {
+            "applied_deltas": counts["maintained"] + counts["fallback_recomputes"],
+            "fallback_recomputes": counts["fallback_recomputes"],
+            "delta_rows": counts["delta_rows"],
+            "failed_deltas": counts["failed_deltas"],
+        }
 
     def refresh(self) -> QueryResult:
         """Force a full recompute from the latest snapshots (not counted
@@ -304,15 +294,12 @@ class MaintainedResult:
                 self._dirty = True
                 failed = True
                 fallback = False
-                resilience_stats().record("delta_failures")
+        for metrics in (self.metrics, self._engine.metrics):
             if failed:
-                self._counters.failed_deltas += 1
-            else:
-                self._counters.applied_deltas += 1
-                self._counters.delta_rows += delta.rows_touched
-                if fallback:
-                    self._counters.fallback_recomputes += 1
-        self._engine._record_maintenance(delta.rows_touched, fallback, failed=failed)
+                metrics.add("failed_deltas")
+                continue
+            metrics.add("delta_rows", delta.rows_touched)
+            metrics.add("fallback_recomputes" if fallback else "maintained")
 
     def _resync(self) -> None:
         """Recompute if any input advanced past the recorded versions

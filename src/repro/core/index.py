@@ -49,7 +49,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, cast
 
 import numpy as np
@@ -70,7 +69,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DominanceIndex",
     "CellPartition",
-    "IndexStats",
     "joined_cell_ids",
     "lpt_buckets",
     "run_indexed",
@@ -79,27 +77,6 @@ __all__ = [
 
 #: Tokens for indexes built outside the Catalog (plan-local fallbacks).
 _ANON_TOKENS = itertools.count(1)
-
-
-@dataclass
-class IndexStats:
-    """Counters of the index life cycle, surfaced by ``Engine.cache_info``.
-
-    Mutated by the Catalog under its lock; read via ``as_dict`` copies.
-    """
-
-    builds: int = 0
-    hits: int = 0
-    invalidations: int = 0
-    maintained: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "index_builds": self.builds,
-            "index_hits": self.hits,
-            "index_invalidations": self.invalidations,
-            "index_maintained": self.maintained,
-        }
 
 
 def _choose_grid_columns(matrix: FloatMatrix) -> tuple[int, ...]:

@@ -16,10 +16,12 @@ supersets — so the indexed path's byte-identity is checked against an
 independently computed answer, not against itself. Keep it that way.
 
 When a serving deadline is active (:func:`~repro.serving.deadline
-.active_deadline`), the skyline pass switches to the chunked
-:func:`~repro.core.verify.checkpointed_skyline` — the same answer, but
-cancellable between candidate chunks with the verified survivors as the
-partial answer.
+.active_deadline`), the skyline pass switches to the exact pipeline's
+deadline path (:func:`~repro.core.parallel._sharded_skyline` on a
+one-worker plan) — the same answer, but cancellable between candidate
+chunks with the verified survivors as the partial answer. That path
+also passes the ``shard.*`` fault checkpoints and the recovery ladder,
+which preserves the answer.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import numpy as np
 
 from ..serving.deadline import active_deadline
 from ..skyline.kdominant import k_dominant_skyline
-from .parallel import _answer, _row_tuples
+from .parallel import ShardPlan, _answer, _row_tuples, _sharded_skyline
 from .timing import PhaseClock
-from .verify import checkpointed_skyline
 
 if TYPE_CHECKING:
     from .plan import CascadePlan, JoinPlan
@@ -49,12 +50,13 @@ def _naive(plan: JoinPlan | CascadePlan, k: int) -> KSJQResult | CascadeResult:
     clock = PhaseClock()
     with clock.phase("join"):
         rows, matrix = plan.joined()
-    with clock.phase("remaining"):
-        deadline = active_deadline()
-        if deadline is None:
+    if active_deadline() is None:
+        with clock.phase("remaining"):
             keep = np.asarray(k_dominant_skyline(matrix, k), dtype=np.intp)
-        else:
-            keep = checkpointed_skyline(matrix, k, deadline, partial(_row_tuples, rows))
+    else:
+        # Not inside "remaining": the pipeline charges its own phases.
+        shards = ShardPlan(1, int(matrix.shape[0]), "deadline")
+        keep = _sharded_skyline(matrix, k, shards, clock, partial(_row_tuples, rows))[0]
     return _answer(plan, k, "naive", rows, keep, 0, clock)
 
 

@@ -73,13 +73,8 @@ from typing import TYPE_CHECKING, cast
 
 import numpy as np
 
-from ..resilience import (
-    InjectedFault,
-    RetryPolicy,
-    checkpoint,
-    resilience_stats,
-    retry_call,
-)
+from ..metrics import record
+from ..resilience import InjectedFault, RetryPolicy, checkpoint, retry_call
 from ..serving.deadline import active_deadline
 from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
@@ -326,7 +321,7 @@ def _map_on_threads(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for attempt in range(SHARD_RETRY_POLICY.max_attempts):
             if attempt:
-                resilience_stats().record("shard_retries", len(pending))
+                record("shard_retries", len(pending))
                 time.sleep(SHARD_RETRY_POLICY.delay(attempt - 1))
             futures = {i: pool.submit(fn, tasks[i]) for i in pending}
             pending = []
@@ -352,9 +347,11 @@ def _map_tasks(
     raised by ``fn`` propagate. Transient failures walk the **recovery
     ladder** (see ``docs/resilience.md``): failed tasks are retried in
     place with exponential backoff and jitter, then the tasks the
-    thread rung could not finish — only those — run serially (counted
-    in :func:`repro.resilience.resilience_stats`), where a fault that
-    still persists surfaces typed. Correctness never rests on the
+    thread rung could not finish — only those — run serially, where a
+    fault that still persists surfaces typed. Both rungs count
+    (``shard_retries``, ``degradations``) through
+    :func:`repro.metrics.record` into the registry the calling thread
+    activated — the engine's, under ``Engine._run``. Correctness never rests on the
     ladder: shard tasks are pure, and the mandatory cross-shard
     verification re-checks every merged candidate against the full
     matrix, so re-executed shards cannot change the answer.
@@ -363,7 +360,7 @@ def _map_tasks(
         return _serial_tasks(fn, tasks)
     results, pending = _map_on_threads(fn, tasks, min(shards.workers, len(tasks)))
     if pending:
-        resilience_stats().record("degradations")  # thread → serial
+        record("degradations")  # thread → serial
         results.update(zip(pending, _serial_tasks(fn, [tasks[i] for i in pending])))
     return [results[i] for i in range(len(tasks))]
 
@@ -459,7 +456,8 @@ def _sharded_skyline(
     items of at most :data:`~repro.core.verify.DEADLINE_SCAN_CHUNK`
     rows (chunk-local candidates are still a superset), phase 2 over
     chunks of :data:`~repro.core.verify.DEADLINE_VERIFY_CHUNK`
-    candidates — the scheme of :func:`~repro.core.verify.checkpointed_skyline`.
+    candidates. The naive runners take this path under a deadline too,
+    on a one-worker plan.
     ``partial_of`` maps the row indices verified so far to the
     pairs/chains carried by the raised ``DeadlineExceeded``.
     """

@@ -20,7 +20,7 @@ negates them so that all comparisons are uniform minimization).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import enum
 from dataclasses import dataclass, field
@@ -256,7 +256,3 @@ class RelationSchema:
                     extra += " (aggregate)"
             lines.append(f"{attr.name}: {attr.role.value}{extra}")
         return "\n".join(lines)
-
-
-def _as_tuple(value: Iterable) -> tuple:
-    return tuple(value)

@@ -20,9 +20,12 @@ Pieces:
   backoff, deterministic jitter) and :func:`retry_call`.
 * :mod:`~repro.resilience.breaker` — the serving
   :class:`CircuitBreaker`.
-* :mod:`~repro.resilience.stats` — process-wide recovery counters
-  (``shard_retries``, ``degradations``, ``index_quarantines``, ...)
-  surfaced by ``Engine.cache_info()``.
+
+The recovery counters (``shard_retries``, ``degradations``,
+``index_quarantines``, ...) live in each engine's
+:class:`~repro.metrics.Metrics` registry and are surfaced by
+``Engine.cache_info()``; :meth:`FaultPlan.fired` counts the faults a
+plan injected.
 """
 
 from .breaker import CircuitBreaker
@@ -38,22 +41,18 @@ from .faults import (
     disarm,
 )
 from .retry import RetryPolicy, retry_call
-from .stats import COUNTER_NAMES, ResilienceStats, resilience_stats
 
 __all__ = [
     "CircuitBreaker",
-    "COUNTER_NAMES",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "ResilienceStats",
     "RetryPolicy",
     "arm",
     "armed_plan",
     "arming",
     "checkpoint",
     "disarm",
-    "resilience_stats",
     "retry_call",
 ]

@@ -31,8 +31,6 @@ import threading
 import time
 from collections.abc import Callable
 
-from .stats import resilience_stats
-
 __all__ = ["CircuitBreaker"]
 
 
@@ -124,23 +122,22 @@ class CircuitBreaker:
             if self._state == "half_open":
                 self._probing = False
 
-    def record_failure(self) -> None:
-        """An admitted request failed; trip or re-open as appropriate."""
-        opened = False
+    def record_failure(self) -> bool:
+        """An admitted request failed; trip or re-open as appropriate.
+
+        Returns whether this failure opened the breaker, so the caller
+        can count the trip (the serving layer counts it as its engine's
+        ``breaker_opens``)."""
         with self._lock:
             if self._state == "half_open":
-                self._state = "open"
-                self._opened_at = self._clock()
                 self._probing = False
-                opened = True
             else:
                 self._failures += 1
-                if self._failures >= self.failure_threshold:
-                    self._state = "open"
-                    self._opened_at = self._clock()
-                    opened = True
-        if opened:
-            resilience_stats().record("breaker_opens")
+                if self._failures < self.failure_threshold:
+                    return False
+            self._state = "open"
+            self._opened_at = self._clock()
+            return True
 
     def __repr__(self) -> str:
         with self._lock:

@@ -26,9 +26,11 @@ A :class:`FaultPlan` arms a seeded, deterministic schedule of
     :class:`~repro.errors.ResilienceError`), modelling a corrupted
     index page or a transient I/O error respectively.
 
-One lock guards a plan's hit counters, so concurrent shard threads
-consume the *same* fault budget: a ``times=1`` fault fires exactly
-once however many threads reach its site.
+One lock guards a plan's hit counters and its :meth:`FaultPlan.fired`
+total, so concurrent shard threads consume the *same* fault budget: a
+``times=1`` fault fires exactly once however many threads reach its
+site. A plan is armed for the whole process, so the count of faults it
+injected belongs to the plan, not to any engine.
 
 Determinism: which hit fires depends only on the per-site hit number
 (and, for ``rate`` specs, on the plan ``seed``), never on wall-clock
@@ -45,7 +47,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import ResilienceError
-from .stats import resilience_stats
 
 __all__ = [
     "FAULT_KINDS",
@@ -148,11 +149,11 @@ class FaultSpec:
 class FaultPlan:
     """A seeded, deterministic schedule of faults across checkpoints.
 
-    One lock guards the per-spec hit counters; the plan holds no other
-    mutable state, so one plan may be armed while queries run on many
-    threads at once.
+    One lock guards the per-spec hit counters and the fired total; the
+    plan holds no other mutable state, so one plan may be armed while
+    queries run on many threads at once.
 
-    # guarded-by: _lock: _hits
+    # guarded-by: _lock: _hits, _fired
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = (), seed: int = 0) -> None:
@@ -160,6 +161,7 @@ class FaultPlan:
         self.seed = int(seed)
         self._lock = threading.Lock()
         self._hits = [0] * len(self.specs)
+        self._fired = 0
         by_site: dict[str, list[tuple[int, FaultSpec]]] = {}
         for index, spec in enumerate(self.specs):
             by_site.setdefault(spec.site, []).append((index, spec))
@@ -171,15 +173,22 @@ class FaultPlan:
         with self._lock:
             return max((self._hits[index] for index, _spec in entries), default=0)
 
+    def fired(self) -> int:
+        """How many observations fired a fault, across every site."""
+        with self._lock:
+            return self._fired
+
     def hit(self, site: str) -> None:
         """Record one observation of ``site`` and fire any due fault."""
         for index, spec in self._by_site.get(site, ()):
             with self._lock:
                 hit = self._hits[index]
                 self._hits[index] = hit + 1
-            if not spec.fires(hit, self.seed):
+                fires = spec.fires(hit, self.seed)
+                if fires:
+                    self._fired += 1
+            if not fires:
                 continue
-            resilience_stats().record("faults_injected")
             if spec.kind == "slow":
                 time.sleep(spec.delay)
                 continue

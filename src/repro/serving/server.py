@@ -86,6 +86,7 @@ from .protocol import (
 if TYPE_CHECKING:
     from ..api.engine import Engine
     from ..core.result import QueryResult
+    from ..metrics import Metrics
 
 __all__ = ["KSJQServer", "ServingConfig"]
 
@@ -144,11 +145,14 @@ class _BreakerJudgement:
     ``failure()`` call wins; ``settle()`` runs in the request's
     ``finally`` and records a neutral outcome if no verdict was ever
     reached — a client-error 400, an admission 429, a disconnect
-    mid-stream — releasing the probe slot instead of leaking it.
+    mid-stream — releasing the probe slot instead of leaking it. A
+    failure that opens the breaker counts as ``breaker_opens`` in the
+    engine's ``metrics``.
     """
 
-    def __init__(self, breaker: CircuitBreaker) -> None:
+    def __init__(self, breaker: CircuitBreaker, metrics: "Metrics") -> None:
         self._breaker = breaker
+        self._metrics = metrics
         self._settled = False
 
     def success(self) -> None:
@@ -159,7 +163,8 @@ class _BreakerJudgement:
     def failure(self) -> None:
         if not self._settled:
             self._settled = True
-            self._breaker.record_failure()
+            if self._breaker.record_failure():
+                self._metrics.add("breaker_opens")
 
     def settle(self) -> None:
         if not self._settled:
@@ -521,7 +526,7 @@ class KSJQServer:
         # client disconnect mid-stream, neutral client error — must
         # settle the judgement exactly once, else the slot leaks and
         # allow() sheds all traffic forever (half_open has no timeout).
-        judgement = _BreakerJudgement(self.breaker)
+        judgement = _BreakerJudgement(self.breaker, self.engine.metrics)
         try:
             cost: float | None = None
             if self.config.probe_costs:

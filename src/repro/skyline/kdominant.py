@@ -20,9 +20,8 @@ Implemented methods:
 
 :func:`k_dominant_candidates_block` is the TSA's first scan as
 vectorized matrix-block broadcasts: the candidate kernel of the sharded
-exact pipeline (:mod:`repro.core.parallel`) and of
-:func:`repro.core.verify.checkpointed_skyline`, whose second scans
-re-verify its superset against the full data.
+exact pipeline (:mod:`repro.core.parallel`), whose second scan
+re-verifies its superset against the full data.
 
 The skyline functions return sorted row indices of the k-dominant
 skyline members.

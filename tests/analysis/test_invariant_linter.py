@@ -210,9 +210,8 @@ def test_r6_sees_the_catalog_maintenance_guard_non_vacuously() -> None:
     assert not [d for d in check_file(path) if d.rule == "R6"]
     source = path.read_text()
     assert "with_inserted_rows" in source
-    mutated = source.replace("resilience_stats", "plain_stats").replace(
-        "invalidations", "skipped"
-    )
+    assert "self._count_quarantine()" in source
+    mutated = source.replace("self._count_quarantine()", "pass")
     diags = invariants._check_swallowed_recovery(path, ast.parse(mutated))
     assert any(d.rule == "R6" for d in diags)
 

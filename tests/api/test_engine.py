@@ -228,3 +228,42 @@ class TestBuilder:
         assert tuned.spec.problem == "find_k"
         # the configured k survives for later run() calls
         assert query.run().spec.k == 5
+
+
+
+CACHE_KEYS = frozenset(
+    {"hits", "misses", "evictions", "invalidations", "requests", "size", "capacity"}
+)
+TOP_KEYS = CACHE_KEYS | {
+    "maintained",
+    "fallback_recomputes",
+    "delta_rows",
+    "failed_deltas",
+    "results",
+    "index_builds",
+    "index_hits",
+    "index_invalidations",
+    "index_maintained",
+    "resilience",
+}
+RESILIENCE_KEYS = frozenset(
+    {"shard_retries", "degradations", "index_quarantines", "delta_failures", "breaker_opens"}
+)
+
+
+class TestCacheInfoShape:
+    """The keys of ``cache_info()``: callers (the benchmark harness,
+    dashboards) read them by name."""
+
+    def test_every_key_is_pinned(self):
+        info = Engine().cache_info()
+        assert set(info) == TOP_KEYS
+        assert set(info["results"]) == CACHE_KEYS
+        assert set(info["resilience"]) == RESILIENCE_KEYS
+
+    def test_an_attached_server_adds_the_serving_key(self):
+        from repro.serving.metrics import ServingMetrics
+
+        engine, metrics = Engine(), ServingMetrics()
+        engine.attach_serving_metrics(metrics)
+        assert set(engine.cache_info()) == TOP_KEYS | {"serving"}

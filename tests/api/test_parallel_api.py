@@ -262,7 +262,7 @@ class TestEngineParallel:
         hit = engine.execute(
             left, right, QuerySpec.for_ksjq(k=5, algorithm="parallel", parallelism=4)
         )
-        assert engine.result_stats.hits == 1
+        assert engine.cache_info()["results"]["hits"] == 1
         # The cached answer is reused, but provenance reports the spec
         # this caller actually passed.
         assert hit.spec.parallelism == 4
@@ -270,7 +270,7 @@ class TestEngineParallel:
         # steer the algorithm choice between answer families.
         engine.execute(left, right, QuerySpec.for_ksjq(k=5, parallelism=2))
         engine.execute(left, right, QuerySpec.for_ksjq(k=5, parallelism=4))
-        assert engine.result_stats.hits == 1
+        assert engine.cache_info()["results"]["hits"] == 1
 
     def test_execute_many_composes_with_parallel_specs(self):
         left, right = make_random_pair(seed=59, n=40, d=4, g=3)

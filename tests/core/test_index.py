@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import CellPartition, DominanceIndex, JoinPlan, run_naive
 from repro.core.index import (
-    IndexStats,
     _choose_grid_columns,
     _digitize,
     _quantile_edges,
@@ -201,21 +200,6 @@ class TestWithInsertedRows:
         for left_index in (maintained, fresh):
             got = run_indexed(plan, 8, left_index, right_index)
             assert got.pairs.tobytes() == want.pairs.tobytes()
-
-
-class TestIndexStats:
-    def test_as_dict_keys_and_defaults(self):
-        assert IndexStats().as_dict() == {
-            "index_builds": 0,
-            "index_hits": 0,
-            "index_invalidations": 0,
-            "index_maintained": 0,
-        }
-
-    def test_as_dict_reflects_counts(self):
-        stats = IndexStats(builds=2, hits=5, invalidations=1, maintained=3)
-        assert stats.as_dict()["index_hits"] == 5
-        assert stats.as_dict()["index_maintained"] == 3
 
 
 # ----------------------------------------------------------------------

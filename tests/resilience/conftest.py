@@ -1,18 +1,15 @@
 """Shared hygiene for the resilience suite: every test starts disarmed
-with zeroed counters, and can never leak an armed plan to its
-neighbors."""
+and can never leak an armed plan to its neighbors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.resilience import disarm, resilience_stats
+from repro.resilience import disarm
 
 
 @pytest.fixture(autouse=True)
 def clean_resilience_state():
     disarm()
-    resilience_stats().reset()
     yield
     disarm()
-    resilience_stats().reset()

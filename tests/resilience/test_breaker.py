@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience import CircuitBreaker, resilience_stats
+from repro.resilience import CircuitBreaker
 
 
 class FakeClock:
@@ -117,10 +117,11 @@ class TestCircuitBreaker:
         assert breaker.state == "open"
 
     def test_opens_are_counted(self, clock):
-        resilience_stats().reset()
-        breaker = tripped(clock)
+        """record_failure() reports each trip, so the serving layer can
+        count it as its engine's ``breaker_opens``."""
+        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=1.0, clock=clock)
+        assert [breaker.record_failure() for _ in range(3)] == [False, False, True]
         clock.advance(1.5)
         assert breaker.allow()
-        breaker.record_failure()  # re-open from half_open
-        assert resilience_stats().snapshot()["breaker_opens"] == 2
+        assert breaker.record_failure()  # re-open from half_open
         assert "open" in repr(breaker)

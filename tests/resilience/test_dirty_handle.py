@@ -10,7 +10,7 @@ half-applied answer.
 from __future__ import annotations
 
 from repro.api import Engine, QuerySpec
-from repro.resilience import FaultPlan, FaultSpec, arming, resilience_stats
+from repro.resilience import FaultPlan, FaultSpec, arming
 
 from ..helpers import make_random_pair
 
@@ -45,7 +45,7 @@ class TestDirtyHandle:
             # The mutating writer must NOT see the subscriber's fault.
             engine.catalog["left"].insert_rows(new_rows(engine))
         assert live.dirty  # stale, not wedged
-        assert resilience_stats().snapshot()["delta_failures"] == 1
+        assert engine.cache_info()["resilience"]["delta_failures"] == 1
         # The next read recomputes and matches a from-scratch execution.
         want = engine.execute("left", "right", spec=spec())
         got = live.result()
@@ -96,7 +96,7 @@ class TestDirtyHandle:
         live = engine.maintain("left", "right", spec())
         engine.catalog["left"].insert_rows(new_rows(engine))
         assert not live.dirty
-        assert resilience_stats().snapshot()["delta_failures"] == 0
+        assert engine.cache_info()["resilience"]["delta_failures"] == 0
         want = engine.execute("left", "right", spec=spec())
         assert live.result().pairs.tobytes() == want.pairs.tobytes()
         live.close()
@@ -123,4 +123,4 @@ class TestDirtyHandle:
                 )
             ]
         assert chaotic == clean
-        assert resilience_stats().snapshot()["delta_failures"] >= 1
+        assert engine2.cache_info()["resilience"]["delta_failures"] >= 1

@@ -18,7 +18,8 @@ from repro.api import Engine, QuerySpec
 from repro.core import JoinPlan, run_naive, run_parallel
 from repro.core.parallel import SHARD_RETRY_POLICY, ShardPlan, _map_tasks
 from repro.errors import ResilienceError
-from repro.resilience import FaultPlan, FaultSpec, InjectedFault, arming, resilience_stats
+from repro.metrics import Metrics
+from repro.resilience import FaultPlan, FaultSpec, InjectedFault, arming
 
 from ..helpers import make_random_pair
 
@@ -38,11 +39,12 @@ class TestShardRecovery:
     def test_transient_fault_is_retried_in_place_on_threads(self, site, kind):
         plan, want = make_plan()
         faults = FaultPlan([FaultSpec(site, kind=kind, times=1)])
-        with arming(faults):
+        metrics = Metrics()
+        with arming(faults), metrics.activate():
             got = run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
         assert got.pairs.tobytes() == want.pairs.tobytes()
-        snap = resilience_stats().snapshot()
-        assert snap["faults_injected"] == 1
+        assert faults.fired() == 1
+        snap = metrics.snapshot()
         assert snap["shard_retries"] >= 1
         assert snap["degradations"] == 0  # recovered on the same rung
 
@@ -60,30 +62,34 @@ class TestShardRecovery:
             return index * 10
 
         tasks = [(i,) for i in range(4)]
-        results = _map_tasks(fn, tasks, ShardPlan(4, 4, "test"))
+        metrics = Metrics()
+        with metrics.activate():
+            results = _map_tasks(fn, tasks, ShardPlan(4, 4, "test"))
         assert results == [0, 10, 20, 30]
         assert calls == {0: 1, 1: 1, 2: 4, 3: 1}
-        assert resilience_stats().snapshot()["degradations"] == 1
+        assert metrics.snapshot()["degradations"] == 1
 
     def test_persistent_fault_degrades_then_surfaces_typed(self):
         """A fault no rung can outlast must end in a typed
         ResilienceError — never a silently dropped shard."""
         plan, _want = make_plan()
         faults = FaultPlan([FaultSpec("shard.verify", kind="corrupt", times=None)])
-        with arming(faults):
+        metrics = Metrics()
+        with arming(faults), metrics.activate():
             with pytest.raises(ResilienceError):
                 run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
-        assert resilience_stats().snapshot()["degradations"] >= 1
+        assert metrics.snapshot()["degradations"] >= 1
 
     def test_slow_fault_is_just_a_straggler(self):
         plan, want = make_plan()
         faults = FaultPlan(
             [FaultSpec("shard.verify", kind="slow", times=2, delay=0.002)]
         )
-        with arming(faults):
+        metrics = Metrics()
+        with arming(faults), metrics.activate():
             got = run_parallel(plan, K, shards=ShardPlan(4, 0, "test"))
         assert got.pairs.tobytes() == want.pairs.tobytes()
-        assert resilience_stats().snapshot()["shard_retries"] == 0
+        assert metrics.snapshot()["shard_retries"] == 0
 
 
 class TestIndexQuarantine:
@@ -105,7 +111,6 @@ class TestIndexQuarantine:
             got = engine.execute("left", "right", spec=spec)
         assert got.pairs.tobytes() == want.pairs.tobytes()
         assert got.algorithm != "indexed"  # degraded to an exact family
-        assert resilience_stats().snapshot()["index_quarantines"] >= 1
         assert engine.cache_info()["resilience"]["index_quarantines"] >= 1
 
     def test_recovered_index_serves_again_after_quarantine(self):
@@ -127,3 +132,28 @@ class TestIndexQuarantine:
         assert report.resilience is not None
         assert "recovery ladder" in report.resilience
         assert "resilience:" in report.summary()
+
+
+class TestStaleFallback:
+    def test_refresh_or_stale_serves_the_stale_answer_while_the_ladder_fails(self):
+        left, right = make_random_pair(seed=5, n=48, d=4, g=3, a=1)
+        engine = Engine()
+        engine.register("left", left)
+        engine.register("right", right)
+        spec = QuerySpec.for_ksjq(k=K, algorithm="parallel", parallelism=2, aggregate="sum")
+        handle = engine.prepare("left", "right", spec)
+        persistent = FaultPlan([FaultSpec("shard.verify", kind="io", times=None)])
+        with arming(persistent), pytest.raises(ResilienceError):
+            handle.refresh_or_stale()  # nothing cached to fall back on
+        clean = handle.execute()
+        rows = list(engine.catalog["left"].relation.records())[:2]
+        engine.catalog["left"].insert_rows(rows)
+        with arming(persistent):
+            stale, fresh = handle.refresh_or_stale()
+        assert stale is clean and fresh is False
+        current, fresh = handle.refresh_or_stale()
+        assert fresh is True and current is not clean
+        want = engine.execute(
+            "left", "right", spec=QuerySpec.for_ksjq(k=K, algorithm="naive", aggregate="sum")
+        )
+        assert current.pairs.tobytes() == want.pairs.tobytes()

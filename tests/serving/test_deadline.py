@@ -16,7 +16,8 @@ import pytest
 
 from repro.api.engine import Engine
 from repro.api.spec import QuerySpec
-from repro.core.verify import checkpointed_skyline
+from repro.core.parallel import ShardPlan, _sharded_skyline
+from repro.core.timing import PhaseClock
 from repro.errors import DeadlineExceeded, ParameterError
 from repro.serving.deadline import Deadline, active_deadline
 from repro.skyline.kdominant import k_dominant_skyline
@@ -32,6 +33,14 @@ def counting_clock() -> Callable[[], float]:
         return float(calls[0])
 
     return tick
+
+
+def chunked_skyline(matrix, k, deadline, partial_of):
+    """The deadline path of the naive runners: the sharded skyline on a
+    one-worker plan under an active deadline."""
+    shards = ShardPlan(1, matrix.shape[0], "test")
+    with deadline.activate():
+        return _sharded_skyline(matrix, k, shards, PhaseClock(), partial_of)[0]
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +102,7 @@ class TestDeadline:
 
 
 # ----------------------------------------------------------------------
-# checkpointed_skyline: equivalence and partial subsets
+# The chunked deadline skyline: equivalence and partial subsets
 # ----------------------------------------------------------------------
 class TestCheckpointedSkyline:
     @pytest.mark.parametrize("k", [4, 5, 6])
@@ -101,7 +110,7 @@ class TestCheckpointedSkyline:
         rng = np.random.default_rng(7)
         matrix = np.floor(rng.random((300, 6)) * 5)
         exact = k_dominant_skyline(matrix, k)
-        got = checkpointed_skyline(
+        got = chunked_skyline(
             matrix, k, Deadline(1e9), lambda survivors: tuple((i,) for i in survivors)
         )
         assert np.array_equal(np.sort(got), np.sort(exact))
@@ -114,7 +123,7 @@ class TestCheckpointedSkyline:
         exact = {int(i) for i in k_dominant_skyline(matrix, k)}
         deadline = Deadline(m, clock=counting_clock())
         try:
-            got = checkpointed_skyline(
+            got = chunked_skyline(
                 matrix, k, deadline, lambda survivors: tuple((i,) for i in survivors)
             )
         except DeadlineExceeded as exc:

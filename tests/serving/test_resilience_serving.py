@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.resilience import FaultPlan, FaultSpec, disarm, resilience_stats
+from repro.resilience import FaultPlan, FaultSpec, disarm
 from repro.serving.client import parse_retry_after, request_with_backoff
 from repro.serving.server import ServingConfig
 
@@ -21,7 +21,6 @@ QUERY = {"datasets": ["left", "right"], "k": 10}
 def chaotic_server():
     """A server whose every engine execution fails (persistent fault),
     with a hair-trigger breaker and a long reset timeout."""
-    resilience_stats().reset()
     plan = FaultPlan([FaultSpec("serving.execute", kind="io", times=None)], seed=3)
     running = RunningServer(
         demo_engine(n=40),
@@ -37,14 +36,12 @@ def chaotic_server():
     yield running
     running.close()
     disarm()
-    resilience_stats().reset()
 
 
 @pytest.fixture()
 def recovering_server():
     """A server whose engine fails exactly 3 times, then heals; the
     breaker (threshold 3) trips and must re-close via its probe."""
-    resilience_stats().reset()
     plan = FaultPlan([FaultSpec("serving.execute", kind="io", times=3)], seed=3)
     running = RunningServer(
         demo_engine(n=40),
@@ -60,7 +57,6 @@ def recovering_server():
     yield running
     running.close()
     disarm()
-    resilience_stats().reset()
 
 
 class TestDegradedBodies:
@@ -110,7 +106,8 @@ class TestCircuitBreaker:
         _s, _h, metrics = chaotic_server.request("GET", "/metrics")
         assert metrics["breaker"]["state"] == "open"
         assert metrics["admission"]["shed_total"] >= 1
-        assert resilience_stats().snapshot()["breaker_opens"] >= 1
+        info = chaotic_server.engine.cache_info()
+        assert info["resilience"]["breaker_opens"] >= 1
 
     def test_breaker_closes_after_probe_success(self, recovering_server):
         for _ in range(3):

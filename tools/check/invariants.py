@@ -58,7 +58,7 @@ must re-raise, re-verify (reach a verification kernel or a
 ``verify``-named helper), or route through the resilience layer
 (quarantine / retry / degrade / fallback — any reference whose name
 carries one of those markers, e.g. ``_quarantine_indexes`` or
-``resilience_stats``). A bare ``except: pass`` around either site is
+``_count_quarantine``). A bare ``except: pass`` around either site is
 exactly the bug the fault-injection suite exists to catch — a dropped
 shard or a half-built index silently *changing the answer* instead of
 surfacing as a typed :class:`~repro.errors.ResilienceError`.
