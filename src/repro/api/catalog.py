@@ -6,8 +6,9 @@ handles so queries can reference their inputs by name
 anonymous :class:`~repro.relational.relation.Relation` objects on every
 call. Names are the serving-layer contract: plan, stats and result
 caches key on ``(name, version)`` tokens, and every dataset mutation is
-forwarded to catalog subscribers (engines), which invalidate exactly
-the cache entries built over the old version.
+forwarded to catalog subscribers as ``(dataset, delta)``: engines
+invalidate exactly the cache entries built over the old version, and
+maintained results apply the delta to their cached answer.
 
 Re-registering a name with content-identical data is a no-op (same
 fingerprint → version kept → caches stay warm), so idempotent setup
@@ -19,11 +20,11 @@ The catalog is also where per-dataset **dominance indexes**
 (:class:`repro.core.index.DominanceIndex`) persist across queries: one
 entry per dataset uid, built lazily at first indexed query, keyed by
 the exact relation snapshot (and its uid-carrying version token) it was
-built over. The ``MutationDelta`` feed maintains them — an append whose
-delta chains directly onto the indexed version re-digitizes just the
-new tail via ``with_inserted_rows``; any other mutation (deletes,
-replaces, or a missed intermediate version) invalidates the entry and
-the next indexed query rebuilds. Lookups hit only on snapshot
+built over. The mutation feed maintains them before any subscriber
+runs — an append whose delta chains directly onto the indexed version
+re-digitizes just the new tail via ``with_inserted_rows``; any other
+mutation (deletes, replaces, or a missed intermediate version)
+invalidates the entry and the next indexed query rebuilds. Lookups hit only on snapshot
 *identity*, so a stale entry can never serve a newer (or older)
 snapshot than the plan being executed.
 
@@ -65,14 +66,15 @@ class Catalog:
 
     Lock order: ``Catalog._lock`` may be held while taking
     ``Dataset._lock`` (e.g. :meth:`versions`), never the reverse —
-    datasets notify listeners only after releasing their own lock.
+    datasets notify listeners only after releasing their own lock, and
+    subscribers are called with neither lock held.
 
     :attr:`metrics` counts the index life cycle (``index_builds`` /
     ``index_hits`` / ``index_invalidations`` / ``index_maintained``)
     and failed index maintenance (``index_quarantines``), for every
     engine this catalog serves.
 
-    # guarded-by: _lock: _datasets, _subscribers, _delta_subscribers, _indexes
+    # guarded-by: _lock: _datasets, _subscribers, _indexes
     """
 
     def __init__(self) -> None:
@@ -83,11 +85,10 @@ class Catalog:
         # inherit its predecessor's index.
         self._indexes: dict[int, _IndexEntry] = {}
         self.metrics = Metrics()
-        # Bound-method subscribers (engine invalidation hooks) are held
-        # weakly: a shared catalog must not keep every engine that ever
-        # subscribed — and its caches — alive forever.
-        self._subscribers: list[Callable[[], Callable[[Dataset], None] | None]] = []
-        self._delta_subscribers: list[
+        # Bound-method subscribers (engine invalidation hooks, maintained
+        # results) are held weakly: a shared catalog must not keep every
+        # engine or handle that ever subscribed alive forever.
+        self._subscribers: list[
             Callable[[], Callable[[Dataset, MutationDelta], None] | None]
         ] = []
 
@@ -121,16 +122,17 @@ class Catalog:
 
         with self._lock:
             existing = self._datasets.get(name)
-            if existing is not None:
-                if existing.relation.fingerprint() == relation.fingerprint():
-                    return existing  # identical content: keep version, keep caches
-                existing.replace(relation)  # bumps version -> notifies subscribers
-                return existing
-            dataset = data if isinstance(data, Dataset) else Dataset(name, relation)
-            dataset.subscribe(self._fan_out)
-            dataset.subscribe_deltas(self._fan_out_delta)
-            self._datasets[name] = dataset
-            return dataset
+            if existing is None:
+                dataset = data if isinstance(data, Dataset) else Dataset(name, relation)
+                dataset.subscribe(self._fan_out)
+                self._datasets[name] = dataset
+                return dataset
+            if existing.relation.fingerprint() == relation.fingerprint():
+                return existing  # identical content: keep version, keep caches
+        # Replace outside the catalog lock: it notifies subscribers, and
+        # none of them may run under it (see the class docstring).
+        existing.replace(relation)
+        return existing
 
     def drop(self, name: str) -> None:
         """Remove a dataset from the catalog (existing snapshots stay valid)."""
@@ -286,14 +288,18 @@ class Catalog:
     # ------------------------------------------------------------------
     # Mutation fan-out
     # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[Dataset], None]) -> None:
-        """Register an invalidation hook called after any dataset mutation.
+    def subscribe(self, callback: Callable[[Dataset, MutationDelta], None]) -> None:
+        """Register a hook called with ``(dataset, delta)`` after any
+        dataset mutation.
 
-        Bound methods (the normal case: an engine's invalidation hook)
-        are referenced weakly, so subscribing never extends the
-        subscriber's lifetime; plain functions are held strongly.
+        Hooks run in subscription order, after the catalog has
+        maintained (or invalidated) the mutated dataset's dominance
+        index. Bound methods (the normal case: an engine's invalidation
+        hook, a maintained result's delta intake) are referenced
+        weakly, so subscribing never extends the subscriber's lifetime;
+        plain functions are held strongly.
         """
-        ref: Callable[[], Callable[[Dataset], None] | None]
+        ref: Callable[[], Callable[[Dataset, MutationDelta], None] | None]
         if inspect.ismethod(callback):
             ref = weakref.WeakMethod(callback)
         else:
@@ -303,50 +309,15 @@ class Catalog:
                 return
             self._subscribers.append(ref)
 
-    def _fan_out(self, dataset: Dataset) -> None:
+    def _fan_out(self, dataset: Dataset, delta: MutationDelta) -> None:
+        # Index first: a subscriber that queries the new snapshot finds
+        # the maintained index (or none), never the pre-mutation entry.
+        self._maintain_index(dataset, delta)
         with self._lock:
             callbacks = [ref() for ref in self._subscribers]
             if any(cb is None for cb in callbacks):  # prune dead subscribers
                 self._subscribers = [
                     ref for ref, cb in zip(self._subscribers, callbacks) if cb is not None
-                ]
-        for callback in callbacks:
-            if callback is not None:
-                callback(dataset)
-
-    def subscribe_deltas(
-        self, callback: Callable[[Dataset, MutationDelta], None]
-    ) -> None:
-        """Register a structured-delta hook called after any dataset mutation.
-
-        The delta counterpart of :meth:`subscribe` (same weak-reference
-        semantics for bound methods). Delta hooks run *after* the plain
-        version-bump hooks of the same mutation, so by the time a
-        consumer (an engine routing deltas to maintained results) sees
-        the delta, stale cache entries are already gone.
-        """
-        ref: Callable[[], Callable[[Dataset, MutationDelta], None] | None]
-        if inspect.ismethod(callback):
-            ref = weakref.WeakMethod(callback)
-        else:
-            ref = lambda: callback  # noqa: E731 - uniform deref shape
-        with self._lock:
-            if any(existing() == callback for existing in self._delta_subscribers):
-                return
-            self._delta_subscribers.append(ref)
-
-    def _fan_out_delta(self, dataset: Dataset, delta: MutationDelta) -> None:
-        # Maintain (or invalidate) the dominance index before delta
-        # subscribers run: a maintained-result recompute triggered by
-        # this delta then sees a fresh index, never a stale one.
-        self._maintain_index(dataset, delta)
-        with self._lock:
-            callbacks = [ref() for ref in self._delta_subscribers]
-            if any(cb is None for cb in callbacks):  # prune dead subscribers
-                self._delta_subscribers = [
-                    ref
-                    for ref, cb in zip(self._delta_subscribers, callbacks)
-                    if cb is not None
                 ]
         for callback in callbacks:
             if callback is not None:

@@ -240,7 +240,7 @@ class Engine:
     Counters live in :attr:`metrics`, the engine's one
     :class:`~repro.metrics.Metrics` registry.
 
-    # guarded-by: _lock: _plans, _results, _maintained, _serving_metrics
+    # guarded-by: _lock: _plans, _results, _serving_metrics
     """
 
     def __init__(
@@ -257,16 +257,12 @@ class Engine:
         self.max_results = max_results
         self._catalog = catalog if catalog is not None else Catalog()
         self._catalog.subscribe(self._on_dataset_mutated)
-        self._catalog.subscribe_deltas(self._on_dataset_delta)
         self._lock = threading.RLock()
         self._plans: OrderedDict[tuple[object, ...], object] = OrderedDict()
         self._results: OrderedDict[tuple[object, ...], QueryResult] = OrderedDict()
         self.metrics = Metrics()
-        # Live maintained results, held weakly: an abandoned handle must
-        # not be kept alive (and fed deltas) by the engine forever.
-        self._maintained: list[weakref.ref[MaintainedResult]] = []
-        # Serving-layer metrics, held weakly for the same reason: a
-        # stopped server must not be kept alive by its engine.
+        # Serving-layer metrics, held weakly: a stopped server must not
+        # be kept alive by its engine.
         self._serving_metrics: weakref.ref[ServingMetrics] | None = None
 
     # ------------------------------------------------------------------
@@ -422,7 +418,7 @@ class Engine:
         span = sum(spans) / len(spans) if spans else None
         return state, span
 
-    def _on_dataset_mutated(self, dataset: Dataset) -> None:
+    def _on_dataset_mutated(self, dataset: Dataset, delta: MutationDelta) -> None:
         """Catalog hook: drop exactly the cache entries keyed on an old
         version of the mutated dataset (current-version entries stay)."""
         uid, version = dataset.uid, dataset.version
@@ -435,40 +431,6 @@ class Engine:
                 del self._results[key]
         self.metrics.add("plan_invalidations", len(plans))
         self.metrics.add("result_invalidations", len(results))
-
-    # ------------------------------------------------------------------
-    # Delta maintenance routing
-    # ------------------------------------------------------------------
-    def _on_dataset_delta(self, dataset: Dataset, delta: "MutationDelta") -> None:
-        """Catalog delta hook: route a structured mutation delta to every
-        live maintained result.
-
-        Runs *after* :meth:`_on_dataset_mutated` for the same mutation
-        (datasets notify version listeners before delta listeners), so
-        any fallback recompute a handle issues already sees clean
-        caches. The handle list is copied under the engine lock and
-        dispatched outside it — handles take their own (leaf) locks, so
-        the engine lock never nests inside one.
-        """
-        with self._lock:
-            handles = [ref() for ref in self._maintained]
-            if any(h is None for h in handles):  # prune dead handles
-                self._maintained = [
-                    ref for ref, h in zip(self._maintained, handles) if h is not None
-                ]
-        for handle in handles:
-            if handle is not None:
-                handle._on_delta(dataset, delta)
-
-    def _register_maintained(self, handle: "MaintainedResult") -> None:
-        with self._lock:
-            self._maintained.append(weakref.ref(handle))
-
-    def _unregister_maintained(self, handle: "MaintainedResult") -> None:
-        with self._lock:
-            self._maintained = [
-                ref for ref in self._maintained if ref() not in (None, handle)
-            ]
 
     def maintain(
         self,

@@ -4,7 +4,7 @@ This module is the serving-layer face of the delta-maintenance
 subsystem (:mod:`repro.core.incremental`). It turns engine inputs into
 the registered :class:`~repro.relational.dataset.Dataset` handles a
 :class:`~repro.core.incremental.MaintainedResult` needs — the delta
-feed travels dataset -> catalog -> engine -> handle, so only
+feed travels dataset -> catalog -> handle, so only
 catalog-registered datasets can be maintained — and implements the
 sliding-window iterator behind :meth:`repro.api.Engine.stream_window`,
 where each window advance is a batched ``delete_rows`` + ``insert_rows``
@@ -39,10 +39,10 @@ __all__ = ["create_maintained", "window_stream"]
 def _require_dataset(engine: "Engine", obj: "QueryInput") -> Dataset:
     """One maintain() input -> the registered :class:`Dataset` feeding it.
 
-    Maintained results receive mutation deltas through the catalog ->
-    engine routing, so every input must be a dataset registered in
-    *this* engine's catalog — a plain :class:`Relation` is immutable
-    and has no mutation feed to subscribe to.
+    Maintained results subscribe to the mutation feed of the engine's
+    catalog, so every input must be a dataset registered in *this*
+    engine's catalog — a plain :class:`Relation` is immutable and has
+    no mutation feed to subscribe to.
     """
     if isinstance(obj, str):
         return engine.catalog.get(obj)
@@ -67,18 +67,10 @@ def create_maintained(
     spec: "QuerySpec",
     fallback_ratio: float,
 ) -> MaintainedResult:
-    """Build, register and resync a :class:`MaintainedResult`.
-
-    The handle computes its initial answer, then registers with the
-    engine's delta routing; a mutation landing between those two steps
-    is caught by the final resync (it recomputes iff any input version
-    moved past the snapshot the handle recorded).
-    """
+    """Resolve the inputs to registered datasets and build the handle
+    (which subscribes to the catalog before its first snapshot)."""
     datasets = tuple(_require_dataset(engine, obj) for obj in inputs)
-    handle = MaintainedResult(engine, datasets, spec, fallback_ratio=fallback_ratio)
-    engine._register_maintained(handle)
-    handle._resync()
-    return handle
+    return MaintainedResult(engine, datasets, spec, fallback_ratio=fallback_ratio)
 
 
 def window_stream(

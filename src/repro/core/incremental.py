@@ -94,15 +94,17 @@ class MaintainedResult:
 
     The incremental paths apply to two-way joins whose answer family is
     the exact joined-view skyline (``mode="exact"``, or an explicitly
-    exact algorithm — ``naive``/``parallel``). Cascade specs and
-    faithful-family answers are still maintained correctly, via full
-    recompute on every mutation.
+    exact algorithm — ``naive``/``parallel``/``indexed``). Cascade specs
+    and faithful-family answers are still maintained correctly, via
+    full recompute on every mutation.
 
     Concurrency contract (checked by the repo linter's R2 rule): the
-    handle's own reentrant lock is a leaf — it is taken from dataset
-    notification callbacks (no dataset/catalog lock held there, per the
-    locked-install / unlocked-notify split) and never while the engine
-    holds its lock. Internal helpers re-enter it.
+    handle's own reentrant lock is never taken while an engine, catalog
+    or dataset lock is held — the catalog's mutation feed calls
+    :meth:`_on_delta` outside every lock (the locked-install /
+    unlocked-notify split). The lock is *not* a leaf: while holding
+    it, the handle takes dataset locks to snapshot its inputs.
+    Internal helpers re-enter it.
 
     Resilience: a delta application that *fails* midway (an injected
     ``"delta.apply"`` fault, or any unexpected error) can never poison
@@ -158,6 +160,11 @@ class MaintainedResult:
         self._matrix: FloatMatrix = np.empty((0, 0), dtype=np.float64)
         self._winners: BoolVector = np.zeros(0, dtype=bool)
         self._result: QueryResult | None = None
+        # Subscribe before the first snapshot, once every field exists
+        # and without holding the handle lock: a mutation installed
+        # before the snapshot is part of it, and one installed after it
+        # arrives as recorded version + 1.
+        engine.catalog.subscribe(self._on_delta)
         self._recompute()
 
     # ------------------------------------------------------------------
@@ -227,13 +234,10 @@ class MaintainedResult:
             return self._result
 
     def close(self) -> None:
-        """Detach from the engine's delta routing; the last answer stays
-        readable but no further mutations are applied."""
+        """Stop applying mutations; the last answer stays readable. The
+        catalog holds the handle weakly, so nothing else is released."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-        self._engine._unregister_maintained(self)
 
     def __enter__(self) -> "MaintainedResult":
         return self
@@ -250,14 +254,15 @@ class MaintainedResult:
     # Delta intake
     # ------------------------------------------------------------------
     def _on_delta(self, dataset: "Dataset", delta: "MutationDelta") -> None:
-        """Engine routing hook: apply one mutation to the cached answer.
+        """Catalog hook: apply one mutation to the cached answer.
 
-        The delta travels dataset -> catalog -> engine -> here, each hop
-        notifying outside its own lock (the locked-install /
-        unlocked-notify split), and after the plain version listeners
-        invalidated the engine caches. Runs on the mutating thread with
-        no engine/catalog/dataset lock held; mutations of datasets that
-        are not inputs of this handle are ignored via the version map.
+        The delta travels dataset -> catalog -> here, each hop notifying
+        outside its own lock (the locked-install / unlocked-notify
+        split). Runs on the mutating thread with no engine/catalog/
+        dataset lock held; mutations of datasets that are not inputs of
+        this handle — and every delta that arrives before the first
+        recompute recorded the input versions — are ignored via the
+        version map.
         """
         fallback = False
         failed = False
@@ -300,18 +305,6 @@ class MaintainedResult:
                 continue
             metrics.add("delta_rows", delta.rows_touched)
             metrics.add("fallback_recomputes" if fallback else "maintained")
-
-    def _resync(self) -> None:
-        """Recompute if any input advanced past the recorded versions
-        (closes the registration race in :meth:`Engine.maintain`)."""
-        with self._lock:
-            if self._closed:
-                return
-            stale = any(
-                ds.version != self._versions.get(ds.uid) for ds in self._datasets
-            )
-            if stale:
-                self._recompute()
 
     def _within_budget(self, dataset: "Dataset", delta: "MutationDelta") -> bool:
         """Cost-model gate: is the delta small enough to maintain?

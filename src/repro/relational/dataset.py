@@ -12,8 +12,9 @@ Engines key their plan/result caches on ``(name, version)`` tokens, so
 a mutation invalidates exactly the cache entries that referenced the
 old snapshot — see :class:`repro.api.Catalog` for the registry and
 :class:`repro.api.Engine` for the cache wiring. Listeners subscribed
-via :meth:`Dataset.subscribe` are notified after every version bump,
-which is how mutations propagate to engine caches eagerly.
+via :meth:`Dataset.subscribe` receive ``(dataset, delta)`` after every
+version bump: one feed carries each mutation to engine caches,
+dominance indexes and maintained results alike.
 
 All methods are thread-safe; :meth:`snapshot` returns a consistent
 ``(relation, version)`` pair for lock-free downstream use.
@@ -43,10 +44,10 @@ __all__ = ["Dataset", "MutationDelta"]
 class MutationDelta:
     """Structured description of one :class:`Dataset` mutation.
 
-    Carried to delta listeners (:meth:`Dataset.subscribe_deltas`)
-    alongside the plain version-bump notification, so downstream
-    consumers — chiefly :class:`repro.core.incremental.MaintainedResult`
-    — can update derived state instead of recomputing it.
+    Passed to every listener (:meth:`Dataset.subscribe`) with the
+    dataset, so downstream consumers — chiefly
+    :class:`repro.core.incremental.MaintainedResult` — can update
+    derived state instead of recomputing it.
 
     Attributes
     ----------
@@ -99,7 +100,7 @@ class Dataset:
 
     Concurrency contract (checked by the repo linter's R2 rule):
 
-    # guarded-by: _lock: _relation, _version, _listeners, _delta_listeners
+    # guarded-by: _lock: _relation, _version, _listeners
     """
 
     def __init__(self, name: str, relation: Relation, version: int = 1) -> None:
@@ -114,8 +115,7 @@ class Dataset:
         self._lock = threading.RLock()
         self._relation = relation
         self._version = int(version)
-        self._listeners: list[Callable[[Dataset], None]] = []
-        self._delta_listeners: list[Callable[[Dataset, MutationDelta], None]] = []
+        self._listeners: list[Callable[[Dataset, MutationDelta], None]] = []
 
     # ------------------------------------------------------------------
     # Snapshot access
@@ -137,47 +137,18 @@ class Dataset:
         with self._lock:
             return self._relation, self._version
 
-    def token(self) -> tuple[str, int, int]:
-        """``(name, uid, version)`` — what engines key version-aware caches on.
-
-        ``uid`` is process-unique per :class:`Dataset` instance, so two
-        same-named datasets (e.g. across a catalog drop + re-register)
-        never share cache entries.
-        """
-        with self._lock:
-            return (self.name, self.uid, self._version)
-
     def __len__(self) -> int:
         return len(self.relation)
 
     # ------------------------------------------------------------------
     # Mutation listeners
     # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[Dataset], None]) -> None:
-        """Register a callback invoked (with this dataset) after each mutation."""
+    def subscribe(self, callback: Callable[[Dataset, MutationDelta], None]) -> None:
+        """Register a callback invoked with ``(dataset, delta)`` after
+        each mutation."""
         with self._lock:
             if callback not in self._listeners:
                 self._listeners.append(callback)
-
-    def subscribe_deltas(
-        self, callback: Callable[[Dataset, MutationDelta], None]
-    ) -> None:
-        """Register a callback receiving the structured
-        :class:`MutationDelta` of each mutation (after the plain
-        version-bump listeners have run, so caches are already
-        invalidated when delta consumers recompute through an engine).
-        """
-        with self._lock:
-            if callback not in self._delta_listeners:
-                self._delta_listeners.append(callback)
-
-    def unsubscribe_deltas(
-        self, callback: Callable[[Dataset, MutationDelta], None]
-    ) -> None:
-        """Remove a delta listener; unknown callbacks are a no-op."""
-        with self._lock:
-            if callback in self._delta_listeners:
-                self._delta_listeners.remove(callback)
 
     def _install(
         self,
@@ -185,19 +156,14 @@ class Dataset:
         kind: str,
         inserted: tuple[int, ...] = (),
         deleted: tuple[int, ...] = (),
-    ) -> tuple[
-        list[Callable[[Dataset], None]],
-        list[Callable[[Dataset, MutationDelta], None]],
-        MutationDelta,
-    ]:
+    ) -> tuple[list[Callable[[Dataset, MutationDelta], None]], MutationDelta]:
         """Install a new snapshot and bump the version; returns the
         listeners to notify plus the :class:`MutationDelta` describing
-        the change. The caller MUST invoke :meth:`_notify` on the
-        returned lists only after releasing ``_lock``: listeners
-        (catalog fan-out, engine invalidation hooks, maintained-result
-        updates) take their own locks, and callbacks under ``_lock``
-        invert the catalog -> dataset lock order that
-        :meth:`Catalog.versions` relies on.
+        the change. The caller MUST invoke :meth:`_notify` on them only
+        after releasing ``_lock``: listeners (catalog fan-out, engine
+        invalidation hooks, maintained-result updates) take their own
+        locks, and callbacks under ``_lock`` invert the catalog ->
+        dataset lock order that :meth:`Catalog.versions` relies on.
         """
         with self._lock:
             old_size = len(self._relation)
@@ -211,24 +177,16 @@ class Dataset:
                 inserted=inserted,
                 deleted=deleted,
             )
-            return list(self._listeners), list(self._delta_listeners), delta
+            return list(self._listeners), delta
 
     def _notify(
         self,
-        listeners: list[Callable[[Dataset], None]],
-        delta_listeners: list[Callable[[Dataset, MutationDelta], None]],
+        listeners: list[Callable[[Dataset, MutationDelta], None]],
         delta: MutationDelta,
     ) -> None:
-        """Run mutation callbacks; never called with ``_lock`` held.
-
-        Version-bump listeners run first (engine caches drop their
-        stale entries), then delta listeners (maintained results update
-        — any fallback recompute they issue already sees clean caches).
-        """
+        """Run mutation callbacks; never called with ``_lock`` held."""
         for callback in listeners:
-            callback(self)
-        for delta_callback in delta_listeners:
-            delta_callback(self, delta)
+            callback(self, delta)
 
     # ------------------------------------------------------------------
     # Copy-on-write mutators
@@ -254,10 +212,8 @@ class Dataset:
                     columns[col] = list(old) + list(new)
             merged = Relation(base.schema, columns, name=base.name)
             inserted = tuple(range(len(base), len(merged)))
-            listeners, delta_listeners, delta = self._install(
-                merged, "insert", inserted=inserted
-            )
-        self._notify(listeners, delta_listeners, delta)
+            listeners, delta = self._install(merged, "insert", inserted=inserted)
+        self._notify(listeners, delta)
         return merged
 
     def delete_rows(self, rows: Sequence[int]) -> Relation:
@@ -273,10 +229,10 @@ class Dataset:
                 )
             keep = [i for i in range(len(base)) if i not in drop]
             replacement = base.take(keep)
-            listeners, delta_listeners, delta = self._install(
+            listeners, delta = self._install(
                 replacement, "delete", deleted=tuple(sorted(drop))
             )
-        self._notify(listeners, delta_listeners, delta)
+        self._notify(listeners, delta)
         return replacement
 
     def replace(self, relation: Relation) -> Relation:
@@ -286,8 +242,8 @@ class Dataset:
                 f"dataset {self.name!r}: replace() needs a Relation, "
                 f"got {type(relation).__name__}"
             )
-        listeners, delta_listeners, delta = self._install(relation, "replace")
-        self._notify(listeners, delta_listeners, delta)
+        listeners, delta = self._install(relation, "replace")
+        self._notify(listeners, delta)
         return relation
 
     # ------------------------------------------------------------------

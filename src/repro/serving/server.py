@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..api.spec import QuerySpec
+from ..core.parallel import available_cpus
 from ..errors import (
     AdmissionRejected,
     CircuitOpen,
@@ -257,6 +258,8 @@ def _parse_query(
     Spec construction delegates to the fail-fast
     :meth:`QuerySpec.for_ksjq` / :meth:`QuerySpec.for_cascade`
     validators, so malformed parameters raise before any work runs.
+    An integer ``parallelism`` is bounded by the CPUs this process may
+    use: each unit of it becomes one worker thread.
     """
     inputs, deadline_s = _parse_common(payload, config)
     k = _require_int(payload, "k")
@@ -264,6 +267,12 @@ def _parse_query(
     mode = payload.get("mode", "faithful")
     aggregate = payload.get("aggregate")
     parallelism = payload.get("parallelism", "auto")
+    cpus = available_cpus()
+    if isinstance(parallelism, int) and parallelism > cpus:
+        raise ProtocolError(
+            f'"parallelism" must be "auto" or at most {cpus} (the CPUs '
+            f"this server may use), got {parallelism}"
+        )
     if len(inputs) > 2:
         spec = QuerySpec.for_cascade(
             k=k,

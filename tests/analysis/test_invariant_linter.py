@@ -36,6 +36,7 @@ def _source_line(path: Path, lineno: int) -> str:
     [
         ("r1_unverified_merge.py", "R1", "def broken_sharded_skyline"),
         ("r2_lock_discipline.py", "R2", "self._entries = "),
+        ("r2_stale_guard.py", "R2", "# guarded-by: _lock: _entries, _listeners"),
         ("r3_fingerprint.py", "R3", "def fingerprint"),
         ("r4_fork_outside_layer.py", "R4", "ProcessPoolExecutor(max_workers=2)"),
         ("r4_layer/parallel.py", "R4", "ProcessPoolExecutor(max_workers=2)"),

@@ -1,15 +1,19 @@
 """Lock-order recording and deadlock (cycle) detection.
 
-The serving layer holds four kinds of locks: ``Catalog._lock``,
-``Dataset._lock``, ``Engine._lock`` and the plans' ``_memo_lock``. The
-documented global order is *catalog before dataset* (and both before
-nothing else: engine and memo locks are leaves — no code calls out of
-them). A cycle in the observed held-before-acquired relation means two
-threads can deadlock even if this particular run did not.
+The serving layer holds five kinds of locks: ``Catalog._lock``,
+``Dataset._lock``, ``Engine._lock``, the plans' ``_memo_lock`` and a
+maintained result's ``_lock``. The documented global order is *catalog
+before dataset* (and both before nothing else: engine and memo locks
+are leaves — no code calls out of them). A maintained result's lock is
+not a leaf — it snapshots datasets while held — so it must never be
+taken while an engine, catalog or dataset lock is held. A cycle in the
+observed held-before-acquired relation means two threads can deadlock
+even if this particular run did not.
 
 The harness here instruments those locks with recording proxies, drives
-a concurrent serving workload (queries, mutations, re-registrations,
-explains) and asserts the observed acquisition-order graph is acyclic.
+a concurrent serving workload (queries, maintained reads, mutations,
+re-registrations, explains) and asserts the observed acquisition-order
+graph is acyclic.
 It would have caught the historical defect where ``Dataset`` mutators
 notified listeners *while holding* ``Dataset._lock``: the listener
 chain (catalog fan-out -> engine invalidation) produced a
@@ -190,6 +194,8 @@ def test_engine_workload_lock_order_is_acyclic():
     engine.execute("hotels", "flights", spec)  # warm the plan cache
     for plan in list(engine._plans.values()):
         instrument(plan, "_memo_lock", "plan-memo", graph)
+    live = engine.maintain("hotels", "flights", QuerySpec.for_ksjq(k=7, mode="exact"))
+    instrument(live, "_lock", "handle", graph)
 
     errors: list[BaseException] = []
     barrier = threading.Barrier(3)
@@ -209,6 +215,7 @@ def test_engine_workload_lock_order_is_acyclic():
             engine.execute("hotels", "flights", spec)
             engine.explain("hotels", "flights", spec=spec)
             engine.catalog.versions()
+            live.result()
 
     def mutate_loop():
         for i in range(6):
@@ -239,6 +246,13 @@ def test_engine_workload_lock_order_is_acyclic():
     for name in ("ds:hotels", "ds:flights"):
         assert "catalog" not in edges.get(name, set())
 
+    # The handle lock snapshots datasets while held (not a leaf), so it
+    # must never be taken under an engine, catalog or dataset lock.
+    assert any(dst.startswith("ds:") for dst in edges.get("handle", set()))
+    for src, dsts in edges.items():
+        if src in ("engine", "catalog") or src.startswith("ds:"):
+            assert "handle" not in dsts, f"{src} -> handle"
+
 
 def test_dataset_listeners_run_without_the_dataset_lock():
     """Regression: mutators must notify with ``_lock`` released.
@@ -254,7 +268,9 @@ def test_dataset_listeners_run_without_the_dataset_lock():
     instrument(dataset, "_lock", "ds", graph)
 
     held_during_notify: list[list[str]] = []
-    dataset.subscribe(lambda _ds: held_during_notify.append(list(graph.held())))
+    dataset.subscribe(
+        lambda _ds, _delta: held_during_notify.append(list(graph.held()))
+    )
 
     dataset.insert_rows([_fresh_record(0)])
     dataset.delete_rows([0])

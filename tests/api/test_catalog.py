@@ -67,10 +67,10 @@ class TestDataset:
     def test_listeners_notified_per_mutation(self):
         ds = Dataset("t", tiny_relation([(1, 5, 5)]))
         seen = []
-        ds.subscribe(lambda d: seen.append(d.version))
+        ds.subscribe(lambda d, delta: seen.append((delta.kind, delta.version)))
         ds.insert_rows([{"g": 1, "x1": 2.0, "x2": 2.0}])
         ds.delete_rows([0])
-        assert seen == [2, 3]
+        assert seen == [("insert", 2), ("delete", 3)]
 
     def test_snapshot_is_consistent_pair(self):
         ds = Dataset("t", tiny_relation([(1, 5, 5)]))

@@ -7,10 +7,15 @@ in ``cache_info()``, and sliding windows advance by batched
 delete+insert deltas while leaving no catalog residue behind.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.api import Catalog, Engine, MaintainedResult, QuerySpec
+from repro.core import run_naive
+from repro.core.plan import JoinPlan
 from repro.errors import CatalogError, ParameterError
 
 from ..helpers import make_random_pair
@@ -247,6 +252,40 @@ class TestRouting:
         assert live.stats()["applied_deltas"] == 1
         assert engine_a.cache_info()["delta_rows"] == 1
         assert engine_b.cache_info()["delta_rows"] == 0
+
+    def test_mutation_during_first_answer_is_not_lost(self):
+        """An insert installed while the handle computes its first
+        answer lands after that answer's snapshot; the handle must
+        still end up reflecting it."""
+        engine = build_engine()
+        left = engine.catalog["left"]
+        before = reference(engine).pair_set()
+        record = {**left.relation.record(0), "s0": 0.0, "s1": 0.0, "s2": 0.0, "s3": 0.0}
+        writers: list[threading.Thread] = []
+        run = engine._run
+
+        def racing_run(plan, spec, inputs=()):
+            if not writers:  # the handle's first answer
+                writer = threading.Thread(target=left.insert_rows, args=([record],))
+                writers.append(writer)
+                writer.start()
+                deadline = time.monotonic() + 10.0
+                while left.version != 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert left.version == 2
+            return run(plan, spec, inputs)
+
+        engine._run = racing_run
+        live = engine.maintain("left", "right", SPEC)
+        writers[0].join(timeout=10.0)
+        assert not writers[0].is_alive()
+
+        fresh = JoinPlan(
+            left.relation, engine.catalog["right"].relation, aggregate="sum"
+        )
+        want = run_naive(fresh, SPEC.k).pair_set()
+        assert want != before  # the insert changes the answer
+        assert live.result().pair_set() == want
 
     def test_abandoned_handle_is_not_kept_alive(self):
         import gc

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.api.spec import QuerySpec
+from repro.core.parallel import available_cpus
 from repro.serving.server import ServingConfig
 
 from .conftest import RunningServer, demo_engine
@@ -104,6 +105,11 @@ def test_malformed_requests_get_structured_errors(
         ({"datasets": ["left", "right"], "k": 99}, "parameter_error"),
         ({"datasets": ["left", "right"], "k": 10, "algorithm": "bogus"}, "algorithm_error"),
         ({"datasets": ["left", "nope"], "k": 10}, "catalog_error"),
+        (
+            {"datasets": ["left", "right"], "k": 10, "algorithm": "parallel",
+             "parallelism": available_cpus() + 1},
+            "protocol_error",
+        ),
     ],
 )
 def test_invalid_queries_fail_fast_with_typed_codes(served, payload, code):

@@ -25,7 +25,10 @@ pattern (unlocked fast-path read, locked re-check + write) but still
 requires every write under the lock. ``__init__`` is exempt (the
 object is not shared while it constructs itself), and nested function
 bodies do not inherit an enclosing ``with`` (they may run later, on
-another thread).
+another thread). A declared field that the class never assigns
+(``self.<field> = ...`` anywhere in its body) is reported on its
+declaration line: a stale declaration guards nothing and hides the
+field's removal.
 
 R3 — **fingerprint-completeness.** For every dataclass that defines a
 ``fingerprint()`` method, each dataclass field must be read inside the
@@ -227,19 +230,21 @@ _GUARDED_RE = re.compile(
 
 @dataclass(frozen=True)
 class GuardSpec:
-    """One field's declared lock and discipline."""
+    """One field's declared lock and discipline, and the docstring line
+    (counted from the opening quotes) that declares it."""
 
     lock: str
     writes_only: bool
+    offset: int
 
 
 def _parse_guards(docstring: str | None) -> dict[str, GuardSpec]:
     guards: dict[str, GuardSpec] = {}
-    for line in (docstring or "").splitlines():
+    for offset, line in enumerate((docstring or "").splitlines()):
         match = _GUARDED_RE.match(line)
         if not match:
             continue
-        spec = GuardSpec(match.group("lock"), bool(match.group("writes")))
+        spec = GuardSpec(match.group("lock"), bool(match.group("writes")), offset)
         for field in match.group("fields").split(","):
             field = field.strip()
             if field:
@@ -351,6 +356,25 @@ def _check_lock_discipline(path: Path, tree: ast.Module) -> list[Diagnostic]:
         guards = _parse_guards(ast.get_docstring(node, clean=False))
         if not guards:
             continue
+        assigned = {
+            attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and (attr := _self_attr(sub)) is not None
+        }
+        for field, spec in guards.items():
+            if field not in assigned:
+                diagnostics.append(
+                    Diagnostic(
+                        path,
+                        node.body[0].lineno + spec.offset,  # the docstring
+                        "R2",
+                        f"lock-discipline: self.{field} is declared guarded by "
+                        f"self.{spec.lock} but class {node.name!r} never assigns "
+                        "it; a stale # guarded-by: declaration guards nothing",
+                    )
+                )
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
