@@ -38,6 +38,7 @@ __all__ = [
     "IntVector",
     "BoolVector",
     "AggregateLike",
+    "RowsLike",
     "ThetaLike",
     "HopLike",
     "HopsLike",
@@ -56,6 +57,9 @@ IntVector = NDArray[np.intp]
 BoolVector = NDArray[np.bool_]
 
 # -- parameter spellings ------------------------------------------------
+# A row subset: row indexes as any int sequence or an index array.
+RowsLike = Union["Sequence[int]", NDArray[np.intp]]
+
 # An aggregate is a registry name ("sum") or an AggregateFunction.
 AggregateLike = Union[str, "AggregateFunction"]
 

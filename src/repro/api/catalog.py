@@ -65,9 +65,9 @@ class Catalog:
     """Thread-safe name -> :class:`Dataset` registry with mutation fan-out.
 
     Lock order: ``Catalog._lock`` may be held while taking
-    ``Dataset._lock`` (e.g. :meth:`versions`), never the reverse —
-    datasets notify listeners only after releasing their own lock, and
-    subscribers are called with neither lock held.
+    ``Dataset._lock`` (e.g. :meth:`versions`, :meth:`drop`), never the
+    reverse — datasets notify listeners only after releasing their own
+    lock, and subscribers are called with neither lock held.
 
     :attr:`metrics` counts the index life cycle (``index_builds`` /
     ``index_hits`` / ``index_invalidations`` / ``index_maintained``)
@@ -135,13 +135,20 @@ class Catalog:
         return existing
 
     def drop(self, name: str) -> None:
-        """Remove a dataset from the catalog (existing snapshots stay valid)."""
+        """Remove a dataset from the catalog (existing snapshots stay valid).
+
+        The catalog also leaves the dataset's mutation feed: a caller
+        still holding the dropped handle can mutate it, but those
+        mutations no longer reach this catalog's index, its engines'
+        caches or its maintained results.
+        """
         with self._lock:
             dataset = self._datasets.get(name)
             if dataset is None:
                 raise CatalogError(f"no dataset named {name!r} to drop")
             del self._datasets[name]
             self._indexes.pop(dataset.uid, None)
+            dataset.unsubscribe(self._fan_out)  # catalog -> dataset lock order
 
     # ------------------------------------------------------------------
     # Lookup

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import AlgorithmError, JoinError
 from ..skyline.dominance import is_k_dominated
-from .grouping import _vector_view, warn_if_unsound
+from .grouping import warn_if_unsound
 from .plan import JoinPlan
 from .result import KSJQResult
 from .targets import target_rows_exact
@@ -48,14 +48,13 @@ def run_cartesian(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
 
     with clock.phase("join"):
         yes_pairs = plan.compatible_pairs(cat1.ss_rows, cat2.ss_rows)
-        vec_view = _vector_view(plan)
 
     checked = 0
     with clock.phase("remaining"):
         if mode == "faithful" or yes_pairs.shape[0] == 0:
             pairs = yes_pairs
         else:
-            vectors = vec_view.oriented_for_pairs(yes_pairs)
+            vectors = plan.oriented_for_pairs(yes_pairs)
             left_cache = {}
             right_cache = {}
             keep: list[int] = []
@@ -66,7 +65,7 @@ def run_cartesian(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
                 if v not in right_cache:
                     right_cache[v] = target_rows_exact(plan.right, v, params.k2_min_local)
                 candidates = plan.compatible_pairs(left_cache[u], right_cache[v])
-                matrix = vec_view.oriented_for_pairs(candidates)
+                matrix = plan.oriented_for_pairs(candidates)
                 if not is_k_dominated(matrix, vectors[pos], params.k):
                     keep.append(pos)
             checked = int(yes_pairs.shape[0])

@@ -51,9 +51,9 @@ import numpy as np
 
 from ..errors import JoinError, ParameterError
 from ..relational.aggregates import AggregateFunction
-from ..relational.join import HopSpec, theta_conjunction_mask
+from ..relational.join import HopJoin, HopSpec, joined_matrix
 from ..relational.relation import Relation
-from ..serving.deadline import DEFAULT_CHECK_INTERVAL, active_deadline
+from ..serving.deadline import active_deadline
 from ..skyline.dominance import is_k_dominated
 from .cost import choose_algorithm
 from .naive import _naive
@@ -61,9 +61,7 @@ from .result import CascadeResult
 from .timing import PhaseClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from collections.abc import Callable
-
-    from .._typing import AggregateLike, FloatMatrix, FloatVector, HopsLike, IntMatrix, IntVector
+    from .._typing import AggregateLike, FloatMatrix, HopsLike, IntMatrix, IntVector, RowsLike
     from ..api import Engine
     from .plan import CascadePlan
 
@@ -76,6 +74,7 @@ __all__ = [
     "cascade_ksjq",
     "cascade_progressive",
     "hop_side_values",
+    "join_chains",
     "normalize_hops",
     "run_cascade_naive",
     "run_cascade_pruned",
@@ -194,47 +193,6 @@ def validate_hops(relations: Sequence[Relation], hops: Sequence[HopSpec]) -> Non
                 )
 
 
-def _partner_lookup(
-    left_rel: Relation,
-    right_rel: Relation,
-    hop: HopSpec,
-    right_rows: IntMatrix,
-) -> Callable[[int], list[int]]:
-    """``left_row -> list of compatible right rows`` for one hop."""
-    if hop.kind == "cartesian":
-        partners = [int(r) for r in right_rows]
-        return lambda row: partners
-
-    if hop.kind == "theta":
-        left_cols = [
-            np.asarray(left_rel.column(c.left_attr), dtype=np.float64)
-            for c in hop.theta
-        ]
-        right_cols = [
-            np.asarray(right_rel.column(c.right_attr), dtype=np.float64)[right_rows]
-            for c in hop.theta
-        ]
-        cache: dict[int, list[int]] = {}
-
-        def theta_partners(row: int) -> list[int]:
-            if row not in cache:
-                mask = theta_conjunction_mask(
-                    hop.theta, [lvals[row] for lvals in left_cols], right_cols
-                )
-                cache[row] = [int(r) for r in right_rows[mask]]
-            return cache[row]
-
-        return theta_partners
-
-    left_values = hop_side_values(left_rel, hop, "left")
-    right_values = hop_side_values(right_rel, hop, "right")
-    groups: dict[object, list[int]] = {}
-    for row in right_rows:
-        groups.setdefault(right_values[int(row)], []).append(int(row))
-    empty: list[int] = []
-    return lambda row: groups.get(left_values[row], empty)
-
-
 def cascade_chains(
     relations: Sequence[Relation],
     hops: HopsLike = None,
@@ -247,34 +205,27 @@ def cascade_chains(
     pruned algorithm).
     """
     hops = normalize_hops(len(relations), hops)
-    masks = (
-        [np.asarray(rows, dtype=np.intp) for rows in keep]
-        if keep is not None
-        else [np.arange(len(rel)) for rel in relations]
-    )
+    joins = [HopJoin(hop, left, right) for hop, left, right in zip(hops, relations, relations[1:])]
+    rows = keep if keep is not None else [np.arange(len(rel)) for rel in relations]
+    return join_chains(joins, rows)
+
+
+def join_chains(joins: Sequence[HopJoin], rows: Sequence[RowsLike]) -> IntMatrix:
+    """Chains through one hop kernel per hop, over per-relation row subsets.
+
+    Each hop extends every chain by its last row's partners, so chains
+    stay in lexicographic order of the given row orders.
+    """
     # Serving deadline (if any): the chain count can explode
-    # combinatorially, so enumeration itself is a cancellation point.
-    # Nothing is verified yet, so the partial answer is empty.
+    # combinatorially, so each hop is a cancellation point. Nothing is
+    # verified yet, so the partial answer is empty.
     deadline = active_deadline()
-    ticks = 0
-    chains = masks[0].reshape(-1, 1)
-    for idx, hop in enumerate(hops):
-        partners_of = _partner_lookup(
-            relations[idx], relations[idx + 1], hop, masks[idx + 1]
-        )
-        out: list[IntVector] = []
-        for chain in chains:
-            if deadline is not None:
-                ticks += 1
-                if ticks % DEFAULT_CHECK_INTERVAL == 0:
-                    deadline.check()
-            for partner in partners_of(int(chain[-1])):
-                out.append(np.append(chain, partner))
-        chains = (
-            np.asarray(out, dtype=np.intp)
-            if out
-            else np.empty((0, idx + 2), dtype=np.intp)
-        )
+    chains = np.asarray(rows[0], dtype=np.intp).reshape(-1, 1)
+    for join, right_rows in zip(joins, rows[1:]):
+        if deadline is not None:
+            deadline.check()
+        pairs = join.pairs(chains[:, -1], right_rows)
+        chains = np.column_stack([chains[pairs[:, 0]], pairs[:, 1]])
     return chains
 
 
@@ -283,64 +234,9 @@ def cascade_oriented(
     chains: IntMatrix,
     aggregate: AggregateFunction | None,
 ) -> FloatMatrix:
-    """Oriented joined matrix: locals per relation + folded aggregates."""
-    if chains.shape[0] == 0:
-        width = sum(rel.schema.l for rel in relations) + relations[0].schema.a
-        return np.empty((0, width), dtype=np.float64)
-    blocks = [rel.oriented_local()[chains[:, i]] for i, rel in enumerate(relations)]
-    a = relations[0].schema.a
-    if a:
-        assert aggregate is not None  # required by schemas with a > 0
-        agg_names = list(relations[0].schema.aggregate_names)
-        combined = relations[0].matrix[chains[:, 0]][
-            :, relations[0].aggregate_column_indices()
-        ]
-        for i in range(1, len(relations)):
-            rel = relations[i]
-            combined = aggregate(
-                combined, rel.matrix[chains[:, i]][:, rel.aggregate_column_indices()]
-            )
-        signs = np.asarray(
-            [relations[0].schema[name].preference.sign for name in agg_names]
-        )
-        blocks.append(combined * signs)
-    return np.concatenate(blocks, axis=1)
-
-
-def theta_weight_sums(
-    left_rel: Relation,
-    right_rel: Relation,
-    hop: HopSpec,
-    weights: FloatVector,
-) -> FloatVector:
-    """Per-left-row sums of right-row ``weights`` over one theta hop.
-
-    The chain-count DP building block for theta hops: with unit weights
-    this counts partners. Single conditions use a sort + prefix-sum over
-    :meth:`~repro.relational.groups.ThetaOp.partner_ranges`
-    (O((n+m) log m)); conjunctions fall back to per-row masks.
-    """
-    if len(hop.theta) == 1:
-        cond = hop.theta[0]
-        lvals = np.asarray(left_rel.column(cond.left_attr), dtype=np.float64)
-        rvals = np.asarray(right_rel.column(cond.right_attr), dtype=np.float64)
-        order = np.argsort(rvals, kind="stable")
-        prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
-        lo, hi = cond.op.partner_ranges(lvals, rvals[order])
-        return prefix[hi] - prefix[lo]
-    left_cols = [
-        np.asarray(left_rel.column(c.left_attr), dtype=np.float64) for c in hop.theta
-    ]
-    right_cols = [
-        np.asarray(right_rel.column(c.right_attr), dtype=np.float64) for c in hop.theta
-    ]
-    out = np.empty(len(left_rel), dtype=np.float64)
-    for i in range(len(left_rel)):
-        mask = theta_conjunction_mask(
-            hop.theta, [lvals[i] for lvals in left_cols], right_cols
-        )
-        out[i] = float(weights[mask].sum())
-    return out
+    """Oriented joined matrix: locals per relation + folded aggregates,
+    paired across relations by name."""
+    return joined_matrix(relations, chains, aggregate)
 
 
 # ----------------------------------------------------------------------

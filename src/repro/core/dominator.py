@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import AlgorithmError
 from ..skyline.dominance import is_k_dominated
 from .categorize import Categorization
-from .grouping import _vector_view, collect_cells, warn_if_unsound
+from .grouping import collect_cells, warn_if_unsound
 from .plan import JoinPlan
 from .result import KSJQResult
 from .targets import target_rows_exact, target_rows_paper
@@ -54,7 +54,6 @@ def run_dominator(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
 
     with clock.phase("join"):
         cells = collect_cells(plan, cat1, cat2)
-        vec_view = _vector_view(plan)
 
     # Dominator sets for every tuple that participates in a candidate
     # cell (Algo 3 lines 6-13). In exact mode the complete local-count
@@ -91,7 +90,7 @@ def run_dominator(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
             cell_pairs = cells[name]
             if cell_pairs.shape[0] == 0:
                 continue
-            vectors = vec_view.oriented_for_pairs(cell_pairs)
+            vectors = plan.oriented_for_pairs(cell_pairs)
             keep: list[int] = []
             for pos in range(cell_pairs.shape[0]):
                 u, v = int(cell_pairs[pos, 0]), int(cell_pairs[pos, 1])
@@ -99,9 +98,7 @@ def run_dominator(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
                 if candidates.shape[0] == 0:
                     keep.append(pos)
                     continue
-                matrix = sort_rows_for_early_exit(
-                    vec_view.oriented_for_pairs(candidates)
-                )
+                matrix = sort_rows_for_early_exit(plan.oriented_for_pairs(candidates))
                 if not is_k_dominated(matrix, vectors[pos], params.k):
                     keep.append(pos)
             checked += int(cell_pairs.shape[0])

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import AlgorithmError, SoundnessWarning
-from ..relational.join import JoinedView
 from ..serving.deadline import Deadline, PartialProvider, active_deadline
 from ..skyline.dominance import is_k_dominated, k_dominated_any
 from .categorize import Categorization
@@ -87,13 +86,6 @@ def collect_cells(
     }
 
 
-def _vector_view(plan: JoinPlan) -> JoinedView:
-    """A pair-less view used purely to materialize joined vectors."""
-    return JoinedView(
-        plan.left, plan.right, np.empty((0, 2), dtype=np.intp), aggregate=plan.aggregate
-    )
-
-
 def _partial_provider(
     accepted: list[IntMatrix],
     cell_pairs: IntMatrix | None = None,
@@ -131,7 +123,6 @@ def run_grouping(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
 
     with clock.phase("join"):
         cells = collect_cells(plan, cat1, cat2)
-        vec_view = _vector_view(plan)
         full_matrix = None
         if mode == "faithful" and cells["SN*SN"].shape[0]:
             full_matrix = sort_rows_for_early_exit(plan.view().oriented())
@@ -143,15 +134,15 @@ def run_grouping(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
         if mode == "faithful":
             accepted.append(cells["SS*SS"])  # Th. 1/3: "yes" without checking
             checked += _verify_likely(
-                plan, vec_view, params, cells["SS*SN"], ss_side="left", out=accepted,
+                plan, params, cells["SS*SN"], ss_side="left", out=accepted,
                 deadline=deadline,
             )
             checked += _verify_likely(
-                plan, vec_view, params, cells["SN*SS"], ss_side="right", out=accepted,
+                plan, params, cells["SN*SS"], ss_side="right", out=accepted,
                 deadline=deadline,
             )
             if cells["SN*SN"].shape[0]:
-                vectors = vec_view.oriented_for_pairs(cells["SN*SN"])
+                vectors = plan.oriented_for_pairs(cells["SN*SN"])
                 if deadline is None:
                     # One blocked many-vs-matrix kernel pass instead of a
                     # Python-level per-row loop; identical keeps in
@@ -169,9 +160,7 @@ def run_grouping(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
                     checked += vectors.shape[0]
                     accepted.append(cells["SN*SN"][keep])
         else:
-            checked += _verify_exact(
-                plan, vec_view, params, cells, accepted, deadline=deadline
-            )
+            checked += _verify_exact(plan, params, cells, accepted, deadline=deadline)
 
     pairs = (
         np.concatenate([c for c in accepted if c.shape[0]], axis=0)
@@ -193,7 +182,6 @@ def run_grouping(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
 
 def _verify_likely(
     plan: JoinPlan,
-    vec_view: JoinedView,
     params: KSJQParams,
     cell_pairs: IntMatrix,
     ss_side: str,
@@ -208,7 +196,7 @@ def _verify_likely(
     if cell_pairs.shape[0] == 0:
         return 0
     k = params.k
-    vectors = vec_view.oriented_for_pairs(cell_pairs)
+    vectors = plan.oriented_for_pairs(cell_pairs)
 
     by_anchor: dict[int, list[int]] = {}
     anchor_col = 0 if ss_side == "left" else 1
@@ -231,7 +219,7 @@ def _verify_likely(
         if candidates.shape[0] == 0:
             keep.extend(positions)
             continue
-        matrix = sort_rows_for_early_exit(vec_view.oriented_for_pairs(candidates))
+        matrix = sort_rows_for_early_exit(plan.oriented_for_pairs(candidates))
         for pos in positions:
             if deadline is not None:
                 deadline.check(partial)
@@ -243,7 +231,6 @@ def _verify_likely(
 
 def _verify_exact(
     plan: JoinPlan,
-    vec_view: JoinedView,
     params: KSJQParams,
     cells: dict[str, IntMatrix],
     out: list[IntMatrix],
@@ -258,7 +245,7 @@ def _verify_exact(
         cell_pairs = cells[name]
         if cell_pairs.shape[0] == 0:
             continue
-        vectors = vec_view.oriented_for_pairs(cell_pairs)
+        vectors = plan.oriented_for_pairs(cell_pairs)
         keep: list[int] = []
         partial = (
             _partial_provider(out, cell_pairs, keep) if deadline is not None else None
@@ -275,7 +262,7 @@ def _verify_exact(
             if candidates.shape[0] == 0:
                 keep.append(pos)
                 continue
-            matrix = vec_view.oriented_for_pairs(candidates)
+            matrix = plan.oriented_for_pairs(candidates)
             if not is_k_dominated(matrix, vectors[pos], k):
                 keep.append(pos)
         checked += int(cell_pairs.shape[0])

@@ -46,7 +46,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..metrics import Metrics
-from ..relational.join import JoinedView
 from ..resilience import checkpoint
 from ..skyline.dominance import k_dominated_any
 from ..skyline.kdominant import k_dominant_candidates_block
@@ -409,18 +408,7 @@ class MaintainedResult:
                     if chunks
                     else np.empty((0, 2), dtype=np.intp)
                 )
-                if delta_pairs.shape[0]:
-                    view = JoinedView(
-                        left_new,
-                        right_new,
-                        delta_pairs,
-                        aggregate=self._plan.aggregate,
-                    )
-                    new_vecs = view.oriented()
-                else:
-                    new_vecs = np.empty(
-                        (0, self._matrix.shape[1]), dtype=np.float64
-                    )
+                new_vecs = plan_new.oriented_for_pairs(delta_pairs)
             with clock.phase("remaining"):
                 checked = self._merge_inserted(delta_pairs, new_vecs, self._spec.k)
             self._plan = plan_new

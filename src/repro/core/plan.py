@@ -1,11 +1,17 @@
 """Join plans: one object describing how two base relations combine.
 
 A :class:`JoinPlan` captures the join kind (equality / cartesian /
-theta), the optional aggregate function, and memoizes the derived
-structures every KSJQ algorithm needs: the joined view, group indexes,
-categorizations, and compatible-pair enumeration between arbitrary row
-subsets. Algorithms 1-3 all consume a plan, so naïve, grouping and
+theta) as one hop (:attr:`JoinPlan.hop`), the optional aggregate
+function, and memoizes the derived structures every KSJQ algorithm
+needs: the joined view, group indexes, categorizations, and the hop
+kernel that enumerates and counts compatible pairs between arbitrary
+row subsets. Algorithms 1-3 all consume a plan, so naïve, grouping and
 dominator-based runs are guaranteed to answer the same query.
+
+A :class:`CascadePlan` is the m-way counterpart: its chains extend
+through the same kernel one hop at a time (paper Sec. 2.3), and both
+plan kinds build joined vectors with one builder,
+:func:`~repro.relational.join.joined_matrix`.
 """
 
 from __future__ import annotations
@@ -20,14 +26,7 @@ import numpy as np
 from ..errors import AggregateError, JoinError, ParameterError
 from ..relational.aggregates import AggregateFunction, get_aggregate
 from ..relational.groups import ConjunctiveThetaIndex, GroupIndex, ThetaGroupIndex
-from ..relational.join import (
-    JoinedView,
-    ThetaCondition,
-    cartesian_pairs,
-    equality_pairs,
-    pairs_product,
-    theta_conjunction_mask,
-)
+from ..relational.join import HopJoin, HopSpec, JoinedView, ThetaCondition, joined_matrix
 from ..relational.relation import Relation
 from .categorize import Categorization, categorize, categorize_theta
 from .params import CascadeParams, KSJQParams
@@ -39,7 +38,6 @@ if TYPE_CHECKING:
         HopsLike,
         IntMatrix,
         IntVector,
-        JoinKey,
         ThetaLike,
     )
     from .index import CellPartition, DominanceIndex
@@ -281,7 +279,7 @@ class JoinPlan(_IndexedPlan):
 
     Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats
+    # guarded-by-writes: _memo_lock: _join, _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats
     """
 
     INDEX_SIDES = ("left", "right")
@@ -303,14 +301,14 @@ class JoinPlan(_IndexedPlan):
         self.left = left
         self.right = right
         self.kind = kind
+        #: The join as one hop: the input of the hop kernel.
+        self.hop = HopSpec.cross() if kind == "cartesian" else HopSpec()
+        self.theta_conditions: tuple[ThetaCondition, ...] = ()
+        self.theta: ThetaCondition | None = None
         if theta is not None:
-            from ..relational.join import normalize_theta
-
-            self.theta_conditions: tuple[ThetaCondition, ...] = normalize_theta(theta)
-            self.theta: ThetaCondition | None = self.theta_conditions[0]
-        else:
-            self.theta_conditions = ()
-            self.theta = None
+            self.hop = HopSpec.on_theta(theta)
+            self.theta_conditions = self.hop.theta
+            self.theta = self.theta_conditions[0]
         left.schema.validate_compatible_aggregates(right.schema)
         if left.schema.a and aggregate is None:
             raise JoinError("schemas declare aggregate attributes; pass aggregate=...")
@@ -318,6 +316,7 @@ class JoinPlan(_IndexedPlan):
             get_aggregate(aggregate) if aggregate is not None else None
         )
 
+        self._join: HopJoin | None = None
         self._view: JoinedView | None = None
         self._left_groups: GroupIndex | None = None
         self._right_groups: GroupIndex | None = None
@@ -343,59 +342,59 @@ class JoinPlan(_IndexedPlan):
     # ------------------------------------------------------------------
     # Memoized derived structures
     # ------------------------------------------------------------------
+    def hop_join(self) -> HopJoin:
+        """The hop kernel over both sides: join values computed once."""
+        if self._join is None:
+            with self._memo_lock:
+                if self._join is None:
+                    self._join = HopJoin(self.hop, self.left, self.right)
+        return self._join
+
     def view(self) -> JoinedView:
-        """The joined view (pair enumeration happens on first call)."""
+        """The joined view: every pair of the plan's hop, left-major
+        (pair enumeration happens on first call)."""
         if self._view is None:
             with self._memo_lock:
                 if self._view is None:
-                    if self.kind == "equality":
-                        pairs = equality_pairs(self.left_groups(), self.right_groups())
-                    elif self.kind == "cartesian":
-                        pairs = cartesian_pairs(len(self.left), len(self.right))
-                    else:
-                        from ..relational.join import theta_pairs
-
-                        pairs = theta_pairs(self.left, self.right, self.theta_conditions)
                     self._view = JoinedView(
-                        self.left, self.right, pairs, aggregate=self.aggregate
+                        self.left, self.right, self.hop_join().pairs(), aggregate=self.aggregate
                     )
         return self._view
+
+    def oriented_for_pairs(self, pairs: IntMatrix) -> FloatMatrix:
+        """Oriented joined vectors of any (m x 2) pair array, without a
+        joined view: the builder the categorizing algorithms share."""
+        return joined_matrix((self.left, self.right), pairs, self.aggregate)
 
     def stats(self) -> PlanStats:
         """Exact cardinality statistics without materializing the view.
 
-        For equality joins the join size is ``sum_g |L_g| * |R_g|`` over
-        shared group keys (group-index arithmetic only); for cartesian
-        joins it is ``n1 * n2``; theta joins count partners via the
-        sorted-column binary search of :meth:`compatible_pair_count`.
+        The join size is counted by the hop kernel from its partner
+        runs, enumerating no pair (except under a theta conjunction).
+        Group counts and the categorization cost are per join kind,
+        because they describe categorization, not the join.
         """
         if self._stats is None:
             with self._memo_lock:
                 if self._stats is not None:
                     return self._stats
                 n1, n2 = len(self.left), len(self.right)
+                # Cartesian categorization compares each tuple with its
+                # whole relation, and theta categorization probes each
+                # tuple's partner target set; the quadratic bound is the
+                # honest proxy for both.
+                cat_cost = n1 * n1 + n2 * n2
                 if self.kind == "equality":
                     left_sizes = self.left_groups().sizes()
                     right_sizes = self.right_groups().sizes()
-                    shared = set(left_sizes) & set(right_sizes)
-                    join_size = sum(left_sizes[key] * right_sizes[key] for key in shared)
                     cat_cost = sum(s * s for s in left_sizes.values()) + sum(
                         s * s for s in right_sizes.values()
                     )
-                    left_g, right_g, shared_g = (
-                        len(left_sizes),
-                        len(right_sizes),
-                        len(shared),
-                    )
+                    left_g, right_g = len(left_sizes), len(right_sizes)
+                    shared_g = len(left_sizes.keys() & right_sizes.keys())
                 elif self.kind == "cartesian":
-                    join_size = n1 * n2
-                    cat_cost = n1 * n1 + n2 * n2
                     left_g = right_g = shared_g = 1 if (n1 and n2) else 0
                 else:
-                    join_size = self.compatible_pair_count(range(n1), range(n2))
-                    # Theta categorization probes each tuple's partner target
-                    # set; the quadratic bound is the honest proxy.
-                    cat_cost = n1 * n1 + n2 * n2
                     left_g, right_g, shared_g = n1, n2, min(n1, n2)
                 self._stats = PlanStats(
                     kind=self.kind,
@@ -404,7 +403,7 @@ class JoinPlan(_IndexedPlan):
                     left_group_count=left_g,
                     right_group_count=right_g,
                     shared_group_count=shared_g,
-                    join_size=int(join_size),
+                    join_size=self.compatible_pair_count(range(n1), range(n2)),
                     categorization_cost=int(cat_cost),
                     joined_width=(
                         self.left.schema.l
@@ -509,48 +508,13 @@ class JoinPlan(_IndexedPlan):
     def compatible_pairs(
         self, left_rows: Sequence[int], right_rows: Sequence[int]
     ) -> IntMatrix:
-        """Join-compatible pairs between two row subsets (m x 2)."""
-        left_rows = np.asarray(list(left_rows), dtype=np.intp)
-        right_rows = np.asarray(list(right_rows), dtype=np.intp)
-        if left_rows.size == 0 or right_rows.size == 0:
-            return np.empty((0, 2), dtype=np.intp)
-        if self.kind == "cartesian":
-            return pairs_product(left_rows, right_rows)
-        if self.kind == "equality":
-            lkeys = self.left.join_keys()
-            by_key: dict[JoinKey, list[int]] = {}
-            for r in right_rows:
-                by_key.setdefault(self.right.join_key(int(r)), []).append(int(r))
-            chunks = []
-            for l in left_rows:
-                partners = by_key.get(lkeys[int(l)])
-                if partners:
-                    chunks.append(pairs_product([int(l)], partners))
-            if not chunks:
-                return np.empty((0, 2), dtype=np.intp)
-            return np.concatenate(chunks, axis=0)
-        # theta: filter the cross product through the conjunction
-        value_pairs = [
-            (
-                np.asarray(self.left.column(cond.left_attr), dtype=np.float64),
-                np.asarray(self.right.column(cond.right_attr), dtype=np.float64),
-            )
-            for cond in self.theta_conditions
-        ]
-        right_subsets = [rvals[right_rows] for _, rvals in value_pairs]
-        chunks = []
-        for l in left_rows:
-            mask = theta_conjunction_mask(
-                self.theta_conditions,
-                [lvals[int(l)] for lvals, _ in value_pairs],
-                right_subsets,
-            )
-            partners = right_rows[mask]
-            if partners.size:
-                chunks.append(pairs_product([int(l)], partners))
-        if not chunks:
-            return np.empty((0, 2), dtype=np.intp)
-        return np.concatenate(chunks, axis=0)
+        """Join-compatible pairs between two row subsets (m x 2): left-major
+        in the given left order, each left row's partners in the given
+        right order."""
+        left_rows = np.asarray(left_rows, dtype=np.intp).reshape(-1)
+        pairs = self.hop_join().pairs(left_rows, right_rows)
+        pairs[:, 0] = left_rows[pairs[:, 0]]
+        return pairs
 
     def compatible_pair_count(
         self, left_rows: Sequence[int], right_rows: Sequence[int]
@@ -558,36 +522,10 @@ class JoinPlan(_IndexedPlan):
         """Number of join-compatible pairs, without enumerating them.
 
         Used by the find-k bound computation (Algos 5-6), where only the
-        cell cardinalities matter: for an equality join the count is
-        ``sum_g |L_g| * |R_g|`` over shared group keys.
+        cell cardinalities matter: the hop kernel counts each left row's
+        partner run (a theta conjunction enumerates its pairs).
         """
-        left_rows = np.asarray(list(left_rows), dtype=np.intp)
-        right_rows = np.asarray(list(right_rows), dtype=np.intp)
-        if left_rows.size == 0 or right_rows.size == 0:
-            return 0
-        if self.kind == "cartesian":
-            return int(left_rows.size) * int(right_rows.size)
-        if self.kind == "equality":
-            left_counts: dict[JoinKey, int] = {}
-            for r in left_rows:
-                key = self.left.join_key(int(r))
-                left_counts[key] = left_counts.get(key, 0) + 1
-            right_counts: dict[JoinKey, int] = {}
-            for r in right_rows:
-                key = self.right.join_key(int(r))
-                right_counts[key] = right_counts.get(key, 0) + 1
-            return sum(
-                count * right_counts.get(key, 0) for key, count in left_counts.items()
-            )
-        # theta: sorted partner ranges via binary search (single
-        # condition); conjunctions fall back to enumeration.
-        if len(self.theta_conditions) > 1:
-            return int(self.compatible_pairs(left_rows, right_rows).shape[0])
-        cond = self.theta_conditions[0]
-        lvals = np.asarray(self.left.column(cond.left_attr), dtype=np.float64)
-        rvals = np.asarray(self.right.column(cond.right_attr), dtype=np.float64)
-        lo, hi = cond.op.partner_ranges(lvals[left_rows], np.sort(rvals[right_rows]))
-        return int((hi - lo).sum())
+        return int(self.hop_join().weight_sums(left_rows, right_rows).sum())
 
     def __repr__(self) -> str:
         agg = self.aggregate.name if self.aggregate else None
@@ -605,12 +543,12 @@ class CascadeStats:
     """Cardinality statistics of a prepared cascade, for cost-based choices.
 
     ``join_size`` is the exact number of join-compatible chains,
-    computed by a backward dynamic program over the hop structure
-    (group-sum arithmetic for equality hops, prefix-sum binary search
-    for single theta conditions) — nothing here materializes the chain
-    set. ``categorization_cost`` is the abstract cost of the pruned
-    algorithm's per-relation Theorem-4 grouping pass: the sum of
-    squared connector-group sizes across every relation.
+    computed by a backward dynamic program over the hop kernels'
+    partner-weight sums — nothing here materializes the chain set (a
+    theta conjunction hop enumerates its pairs). ``categorization_cost``
+    is the abstract cost of the pruned algorithm's per-relation
+    Theorem-4 grouping pass: the sum of squared connector-group sizes
+    across every relation.
     """
 
     kind: str
@@ -659,7 +597,7 @@ class CascadePlan(_IndexedPlan):
 
     Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _chains, _oriented, _sorted, _pruned, _pruned_candidates, _groups, _stats
+    # guarded-by-writes: _memo_lock: _joins, _chains, _oriented, _sorted, _pruned, _pruned_candidates, _groups, _stats
     """
 
     kind = "cascade"
@@ -690,6 +628,7 @@ class CascadePlan(_IndexedPlan):
             get_aggregate(aggregate) if aggregate is not None else None
         )
 
+        self._joins: list[HopJoin] | None = None
         self._chains: IntMatrix | None = None
         self._oriented: FloatMatrix | None = None
         self._sorted: FloatMatrix | None = None
@@ -715,14 +654,29 @@ class CascadePlan(_IndexedPlan):
     # ------------------------------------------------------------------
     # Memoized derived structures
     # ------------------------------------------------------------------
+    def hop_joins(self) -> list[HopJoin]:
+        """One hop kernel per hop, each side's join values computed once."""
+        if self._joins is None:
+            with self._memo_lock:
+                if self._joins is None:
+                    self._joins = [
+                        HopJoin(hop, left, right)
+                        for hop, left, right in zip(
+                            self.hops, self.relations, self.relations[1:]
+                        )
+                    ]
+        return self._joins
+
     def chains(self) -> IntMatrix:
         """The full (s x m) chain set (enumerated on first call)."""
         if self._chains is None:
             with self._memo_lock:
                 if self._chains is None:
-                    from .cascade import cascade_chains
+                    from .cascade import join_chains
 
-                    self._chains = cascade_chains(self.relations, self.hops)
+                    self._chains = join_chains(
+                        self.hop_joins(), [np.arange(len(rel)) for rel in self.relations]
+                    )
         return self._chains
 
     def oriented(self) -> FloatMatrix:
@@ -730,9 +684,7 @@ class CascadePlan(_IndexedPlan):
         if self._oriented is None:
             with self._memo_lock:
                 if self._oriented is None:
-                    from .cascade import cascade_oriented
-
-                    self._oriented = cascade_oriented(
+                    self._oriented = joined_matrix(
                         self.relations, self.chains(), self.aggregate
                     )
         return self._oriented
@@ -800,11 +752,11 @@ class CascadePlan(_IndexedPlan):
         if k not in self._pruned_candidates:
             with self._memo_lock:
                 if k not in self._pruned_candidates:
-                    from .cascade import cascade_chains, cascade_oriented
+                    from .cascade import join_chains
 
                     keep, _ = self.pruned_keep(k)
-                    candidates = cascade_chains(self.relations, self.hops, keep=keep)
-                    matrix = cascade_oriented(self.relations, candidates, self.aggregate)
+                    candidates = join_chains(self.hop_joins(), keep)
+                    matrix = joined_matrix(self.relations, candidates, self.aggregate)
                     self._pruned_candidates[k] = (candidates, matrix)
         return self._pruned_candidates[k]
 
@@ -818,26 +770,12 @@ class CascadePlan(_IndexedPlan):
         return self._stats
 
     def _compute_stats(self) -> CascadeStats:
-        from .cascade import hop_side_values, theta_weight_sums
-
-        relations, hops = self.relations, self.hops
+        relations = self.relations
+        # Backward dynamic program: a row's weight is the number of
+        # chains it starts over the remaining hops.
         weights = np.ones(len(relations[-1]), dtype=np.float64)
-        for idx in range(len(hops) - 1, -1, -1):
-            left_rel, right_rel, hop = relations[idx], relations[idx + 1], hops[idx]
-            if hop.kind == "cartesian":
-                weights = np.full(len(left_rel), float(weights.sum()))
-            elif hop.kind == "theta":
-                weights = theta_weight_sums(left_rel, right_rel, hop, weights)
-            else:
-                right_values = hop_side_values(right_rel, hop, "right")
-                sums: dict[object, float] = {}
-                for row, value in enumerate(right_values):
-                    sums[value] = sums.get(value, 0.0) + float(weights[row])
-                left_values = hop_side_values(left_rel, hop, "left")
-                weights = np.asarray(
-                    [sums.get(value, 0.0) for value in left_values],
-                    dtype=np.float64,
-                )
+        for join in reversed(self.hop_joins()):
+            weights = join.weight_sums(weights=weights)
         join_size = int(round(float(weights.sum())))
 
         # Theorem-4 grouping cost: squared connector-group sizes,

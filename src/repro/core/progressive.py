@@ -35,7 +35,7 @@ import numpy as np
 
 from ..serving.deadline import active_deadline
 from ..skyline.dominance import is_k_dominated
-from .grouping import _vector_view, collect_cells, warn_if_unsound
+from .grouping import collect_cells, warn_if_unsound
 from .plan import JoinPlan
 from .targets import target_rows_paper
 from .verify import sort_rows_for_early_exit
@@ -60,7 +60,6 @@ def ksjq_progressive(plan: JoinPlan, k: int) -> Iterator[tuple[int, int]]:
     cat1 = plan.categorize_left(params.k1_prime)
     cat2 = plan.categorize_right(params.k2_prime)
     cells = collect_cells(plan, cat1, cat2)
-    vec_view = _vector_view(plan)
 
     # Serving deadline (if any): checked before each pair is decided,
     # with the pairs already yielded as the partial answer — every one
@@ -83,7 +82,7 @@ def ksjq_progressive(plan: JoinPlan, k: int) -> Iterator[tuple[int, int]]:
         cell_pairs = cells[cell_name]
         if cell_pairs.shape[0] == 0:
             continue
-        vectors = vec_view.oriented_for_pairs(cell_pairs)
+        vectors = plan.oriented_for_pairs(cell_pairs)
         target_cache: dict[int, IntVector] = {}
         anchor_col = 0 if ss_side == "left" else 1
         for pos in range(cell_pairs.shape[0]):
@@ -101,7 +100,7 @@ def ksjq_progressive(plan: JoinPlan, k: int) -> Iterator[tuple[int, int]]:
                     candidates = plan.compatible_pairs(
                         np.arange(len(plan.left)), targets
                     )
-                matrix = vec_view.oriented_for_pairs(candidates)
+                matrix = plan.oriented_for_pairs(candidates)
                 target_cache[anchor] = sort_rows_for_early_exit(matrix)
             if not is_k_dominated(target_cache[anchor], vectors[pos], k):
                 if deadline is not None:
@@ -113,7 +112,7 @@ def ksjq_progressive(plan: JoinPlan, k: int) -> Iterator[tuple[int, int]]:
     maybe = cells["SN*SN"]
     if maybe.shape[0]:
         full_matrix = sort_rows_for_early_exit(plan.view().oriented())
-        vectors = vec_view.oriented_for_pairs(maybe)
+        vectors = plan.oriented_for_pairs(maybe)
         for pos in range(maybe.shape[0]):
             if deadline is not None:
                 deadline.check(partial)

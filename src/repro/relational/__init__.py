@@ -3,7 +3,8 @@
 This package is the storage and join layer beneath the KSJQ algorithms.
 See :mod:`repro.relational.schema` for attribute roles and preferences,
 :mod:`repro.relational.relation` for the numpy-backed relation type, and
-:mod:`repro.relational.join` for equality/cartesian/theta joins with
+:mod:`repro.relational.join` for the one hop kernel behind
+equality/cartesian/theta joins and the joined-vector builder with
 optional attribute aggregation.
 """
 
@@ -21,14 +22,12 @@ from .csvio import read_csv, write_csv
 from .dataset import Dataset, MutationDelta
 from .groups import GroupIndex, ThetaGroupIndex, ThetaOp
 from .join import (
+    HopJoin,
     HopSpec,
     JoinedLayout,
     JoinedView,
     ThetaCondition,
-    cartesian_pairs,
-    equality_pairs,
-    pairs_product,
-    theta_pairs,
+    joined_matrix,
 )
 from .relation import Relation
 from .schema import AttributeSpec, Preference, RelationSchema, Role
@@ -38,6 +37,7 @@ __all__ = [
     "AttributeSpec",
     "Dataset",
     "GroupIndex",
+    "HopJoin",
     "HopSpec",
     "JoinedLayout",
     "JoinedView",
@@ -54,12 +54,9 @@ __all__ = [
     "ThetaCondition",
     "ThetaGroupIndex",
     "ThetaOp",
-    "cartesian_pairs",
-    "equality_pairs",
     "get_aggregate",
-    "pairs_product",
+    "joined_matrix",
     "read_csv",
     "register_aggregate",
-    "theta_pairs",
     "write_csv",
 ]

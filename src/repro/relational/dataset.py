@@ -14,7 +14,8 @@ old snapshot — see :class:`repro.api.Catalog` for the registry and
 :class:`repro.api.Engine` for the cache wiring. Listeners subscribed
 via :meth:`Dataset.subscribe` receive ``(dataset, delta)`` after every
 version bump: one feed carries each mutation to engine caches,
-dominance indexes and maintained results alike.
+dominance indexes and maintained results alike;
+:meth:`Dataset.unsubscribe` takes a listener off it.
 
 All methods are thread-safe; :meth:`snapshot` returns a consistent
 ``(relation, version)`` pair for lock-free downstream use.
@@ -149,6 +150,13 @@ class Dataset:
         with self._lock:
             if callback not in self._listeners:
                 self._listeners.append(callback)
+
+    def unsubscribe(self, callback: Callable[[Dataset, MutationDelta], None]) -> None:
+        """Remove a callback registered by :meth:`subscribe` (no-op if
+        absent). A mutation already being notified still reaches it."""
+        with self._lock:
+            if callback in self._listeners:
+                self._listeners.remove(callback)
 
     def _install(
         self,

@@ -1,31 +1,37 @@
 """Joins over base relations: equality, cartesian and theta variants.
 
 The KSJQ algorithms never materialize the full join when they can avoid
-it; what they share is (a) *pair enumeration* — which ``(left_row,
-right_row)`` combinations are join-compatible — and (b) the *joined
-layout* — how the skyline attributes of a joined tuple are laid out
-(paper Eq. 3 for the plain case; Sec. 5.6 with aggregates).
+it. What they share is one *hop kernel* and one *joined layout*:
 
-:class:`JoinedView` bundles both, provides vectorized access to the
-oriented (minimize-space) joined matrix, and can materialize a plain
-:class:`~repro.relational.relation.Relation` for the naïve algorithm or
-for end users.
+* :class:`HopJoin` answers, for one hop between two relations and any
+  row subsets of its sides, which rows join and how many (summed
+  partner weights) — for equality, cartesian and theta hops alike. A
+  two-way join is the one-hop case of a cascade (paper Sec. 2.3), so
+  two-way plans and cascade hops both go through it.
+* :func:`joined_matrix` builds the oriented (minimize-space) joined
+  skyline vectors of any row tuples, two-way pairs or m-way chains
+  (paper Eq. 3 for the plain case; Sec. 5.6 with aggregates).
+
+:class:`JoinedView` bundles a pair set with that layout and can
+materialize a plain :class:`~repro.relational.relation.Relation` for
+the naïve algorithm or for end users.
 
 Joined skyline column order (library-wide convention):
 ``R1 locals, R2 locals, aggregates`` — aggregates in the order they
-appear in ``R1``'s schema.
+appear in ``R1``'s schema, each paired across relations by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import JoinError
 from .aggregates import AggregateFunction, get_aggregate
-from .groups import GroupIndex, ThetaOp
+from .groups import ThetaOp
 from .relation import Relation
 from .schema import RelationSchema
 
@@ -34,11 +40,13 @@ if TYPE_CHECKING:
 
     from .._typing import (
         AggregateLike,
-        BoolVector,
+        ColumnData,
         FloatMatrix,
         FloatVector,
         HopLike,
         IntMatrix,
+        IntVector,
+        RowsLike,
         ThetaLike,
     )
 
@@ -47,11 +55,8 @@ __all__ = [
     "ThetaCondition",
     "JoinedLayout",
     "JoinedView",
-    "equality_pairs",
-    "cartesian_pairs",
-    "theta_pairs",
-    "theta_conjunction_mask",
-    "pairs_product",
+    "HopJoin",
+    "joined_matrix",
 ]
 
 HOP_KINDS = ("equality", "cartesian", "theta")
@@ -230,40 +235,8 @@ def make_layout(left: RelationSchema, right: RelationSchema) -> JoinedLayout:
 
 
 # ----------------------------------------------------------------------
-# Pair enumeration
+# The hop kernel: join partners and joined rows
 # ----------------------------------------------------------------------
-def equality_pairs(g1: GroupIndex, g2: GroupIndex) -> IntMatrix:
-    """All join-compatible ``(left_row, right_row)`` pairs (m x 2 array).
-
-    Groups pair positionally on the composite join key (paper Sec. 5.1:
-    ``h1_j = h2_j`` for all join attributes).
-    """
-    chunks: list[IntMatrix] = []
-    for key, left_rows in g1.items():
-        right_rows = g2.rows(key)
-        if right_rows:
-            chunks.append(pairs_product(left_rows, right_rows))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.intp)
-    return np.concatenate(chunks, axis=0)
-
-
-def cartesian_pairs(n_left: int, n_right: int) -> IntMatrix:
-    """All ``n_left * n_right`` pairs (paper Sec. 6.5 special case)."""
-    return pairs_product(range(n_left), range(n_right))
-
-
-def pairs_product(left_rows: Sequence[int], right_rows: Sequence[int]) -> IntMatrix:
-    """Cross product of two row-index sets as an (m x 2) array."""
-    left = np.asarray(list(left_rows), dtype=np.intp)
-    right = np.asarray(list(right_rows), dtype=np.intp)
-    if left.size == 0 or right.size == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    grid_left = np.repeat(left, right.size)
-    grid_right = np.tile(right, left.size)
-    return np.column_stack([grid_left, grid_right])
-
-
 def normalize_theta(theta: ThetaLike) -> tuple[ThetaCondition, ...]:
     """Normalize a condition or sequence of conditions to a tuple.
 
@@ -286,60 +259,188 @@ def normalize_theta(theta: ThetaLike) -> tuple[ThetaCondition, ...]:
     return conditions
 
 
-def theta_conjunction_mask(
-    conditions: Sequence[ThetaCondition],
-    left_values: Sequence[float],
-    right_arrays: Sequence[FloatVector],
-) -> BoolVector:
-    """Mask of right rows joining one left row under every condition.
+class HopJoin:
+    """The join of one hop between two relations: which rows join, and
+    how many (paper Secs. 2.3, 6.5 and 6.6).
 
-    ``left_values[i]`` / ``right_arrays[i]`` hold the value pair of
-    ``conditions[i]`` (one scalar for the anchored left row, the
-    candidate rows' column for the right side).
+    Every two-way join and every cascade hop goes through this kernel.
+    It is built once per hop and relation pair and holds each side's
+    per-row join values:
+
+    * equality — integer key codes drawn from one dict shared by both
+      sides, so keys compare exactly as the Python key values do
+      (``1 == 1.0``);
+    * theta — one float column per condition;
+    * cartesian — nothing.
+
+    For any row subsets of the two sides, each left row's partners are
+    one run of the right rows sorted by the hop's right-hand value: the
+    whole subset (cartesian), the rows of one key (equality), or a
+    prefix or suffix of the first condition's column (theta; the
+    further conditions of a conjunction then filter the run).
+    :meth:`pairs` enumerates the runs; :meth:`weight_sums` reads sums
+    off them without enumerating, except under a conjunction.
     """
-    mask = np.ones(right_arrays[0].shape, dtype=bool)
-    for condition, left_value, right_values in zip(
-        conditions, left_values, right_arrays
-    ):
-        mask &= condition.op.evaluate(left_value, right_values)
-    return mask
+
+    def __init__(self, hop: HopSpec, left: Relation, right: Relation) -> None:
+        self.hop = hop
+        self.sizes = (len(left), len(right))
+        self._codes: tuple[IntVector, IntVector] | None = None
+        self._columns: list[tuple[FloatVector, FloatVector]] = []
+        if hop.kind == "equality":
+            codes: dict[object, int] = {}
+            self._codes = (
+                _key_codes(left, hop.left_column, codes),
+                _key_codes(right, hop.right_column, codes),
+            )
+        elif hop.kind == "theta":
+            self._columns = [
+                (
+                    np.asarray(left.column(cond.left_attr), dtype=np.float64),
+                    np.asarray(right.column(cond.right_attr), dtype=np.float64),
+                )
+                for cond in hop.theta
+            ]
+
+    def pairs(
+        self, left_rows: RowsLike | None = None, right_rows: RowsLike | None = None
+    ) -> IntMatrix:
+        """Every join-compatible pair as ``(left position, right row)``.
+
+        The left position indexes ``left_rows``. Pairs come ordered by
+        left position, then by position in ``right_rows``; a repeated
+        row repeats its pairs. ``None`` selects every row, so
+        ``pairs()`` is the whole join, with left positions equal to
+        left rows.
+        """
+        left, right = self._rows(left_rows, right_rows)
+        left_pos, right_pos = self._positions(left, right)
+        return np.column_stack([left_pos, right[right_pos]])
+
+    def weight_sums(
+        self,
+        left_rows: RowsLike | None = None,
+        right_rows: RowsLike | None = None,
+        weights: FloatVector | None = None,
+    ) -> FloatVector:
+        """For each row of ``left_rows``, the summed weights of its partners.
+
+        ``weights`` holds one value per row of ``right_rows``; by default
+        every weight is 1, so the sums count partners.
+        """
+        left, right = self._rows(left_rows, right_rows)
+        weights = np.ones(right.size) if weights is None else np.asarray(weights, np.float64)
+        if len(self.hop.theta) > 1:
+            left_pos, right_pos = self._positions(left, right)
+            return np.bincount(left_pos, weights=weights[right_pos], minlength=left.size)
+        order, lo, hi = self._runs(left, right)
+        prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
+        return prefix[hi] - prefix[lo]
+
+    def _rows(
+        self, left_rows: RowsLike | None, right_rows: RowsLike | None
+    ) -> tuple[IntVector, IntVector]:
+        """Both row subsets as index arrays (``None`` = every row)."""
+        n_left, n_right = self.sizes
+        left = np.arange(n_left) if left_rows is None else np.asarray(left_rows, dtype=np.intp)
+        right = (
+            np.arange(n_right) if right_rows is None else np.asarray(right_rows, dtype=np.intp)
+        )
+        return left.reshape(-1), right.reshape(-1)
+
+    def _runs(self, left: IntVector, right: IntVector) -> tuple[IntVector, IntVector, IntVector]:
+        """``(order, lo, hi)``: left position ``i`` joins the right
+        positions ``order[lo[i]:hi[i]]`` (under a conjunction's first
+        condition only)."""
+        if self._codes is not None:
+            left_keys, right_keys = self._codes[0][left], self._codes[1][right]
+            order = np.argsort(right_keys, kind="stable")
+            ordered = right_keys[order]
+            return (
+                order,
+                np.searchsorted(ordered, left_keys, side="left"),
+                np.searchsorted(ordered, left_keys, side="right"),
+            )
+        if self._columns:
+            left_values, right_values = self._columns[0]
+            values = right_values[right]
+            order = np.argsort(values, kind="stable")
+            lo, hi = self.hop.theta[0].op.partner_ranges(left_values[left], values[order])
+            return order, lo, hi
+        return (
+            np.arange(right.size),
+            np.zeros(left.size, dtype=np.intp),
+            np.full(left.size, right.size, dtype=np.intp),
+        )
+
+    def _positions(self, left: IntVector, right: IntVector) -> tuple[IntVector, IntVector]:
+        """Every pair as ``(left position, right position)``, in
+        :meth:`pairs` order."""
+        order, lo, hi = self._runs(left, right)
+        counts = hi - lo
+        starts = np.cumsum(counts) - counts
+        left_pos = np.repeat(np.arange(left.size), counts)
+        right_pos = order[np.repeat(lo - starts, counts) + np.arange(int(counts.sum()))]
+        if self._columns and right.size:
+            for cond, (left_values, right_values) in zip(
+                self.hop.theta[1:], self._columns[1:]
+            ):
+                keep = cond.op.evaluate(
+                    left_values[left[left_pos]], right_values[right[right_pos]]
+                )
+                left_pos, right_pos = left_pos[keep], right_pos[keep]
+            # A theta run follows the sorted right values; restore the
+            # given right order within each left position.
+            left_pos, right_pos = np.divmod(
+                np.sort(left_pos * right.size + right_pos), right.size
+            )
+        return left_pos, right_pos
 
 
-def theta_pairs(left: Relation, right: Relation, theta: ThetaLike) -> IntMatrix:
-    """Pairs satisfying one or more theta conditions (conjunction).
-
-    The first condition is evaluated via sort + binary search; the
-    remaining conditions filter the resulting pair array vectorized.
-    """
-    conditions = normalize_theta(theta)
-    pairs = _single_theta_pairs(left, right, conditions[0])
-    for condition in conditions[1:]:
-        if pairs.shape[0] == 0:
-            break
-        lvals = np.asarray(left.column(condition.left_attr), dtype=np.float64)
-        rvals = np.asarray(right.column(condition.right_attr), dtype=np.float64)
-        pairs = pairs[condition.op.evaluate(lvals[pairs[:, 0]], rvals[pairs[:, 1]])]
-    return pairs
-
-
-def _single_theta_pairs(
-    left: Relation, right: Relation, condition: ThetaCondition
-) -> IntMatrix:
-    """Left-row-major pairs of one condition: each left row's partners
-    are one contiguous range of the sorted right column."""
-    lvals = np.asarray(left.column(condition.left_attr), dtype=np.float64)
-    rvals = np.asarray(right.column(condition.right_attr), dtype=np.float64)
-    order = np.argsort(rvals, kind="stable")
-    lo, hi = condition.op.partner_ranges(lvals, rvals[order])
-    counts = hi - lo
-    starts = np.cumsum(counts) - counts
-    offsets = np.arange(int(counts.sum()), dtype=np.intp) - np.repeat(starts, counts)
-    return np.column_stack(
-        [
-            np.repeat(np.arange(len(left), dtype=np.intp), counts),
-            order[np.repeat(lo, counts) + offsets],
-        ]
+def _key_codes(relation: Relation, column: str | None, codes: dict[object, int]) -> IntVector:
+    """Per-row integer code of one hop side's equality values: the
+    composite join key, or one named column."""
+    values = relation.join_keys() if column is None else relation.column(column)
+    return np.fromiter(
+        (codes.setdefault(value, len(codes)) for value in values),
+        dtype=np.intp,
+        count=len(relation),
     )
+
+
+def joined_matrix(
+    relations: Sequence[Relation],
+    rows: IntMatrix,
+    aggregate: AggregateFunction | None,
+) -> FloatMatrix:
+    """Oriented joined matrix of (s x m) row tuples, one row per relation.
+
+    Columns are each relation's local attributes in turn, then every
+    aggregate attribute in the first relation's skyline order, folded
+    across the m relations. Aggregate inputs pair up by *name*, as
+    :meth:`~repro.relational.schema.RelationSchema.validate_compatible_aggregates`
+    matches them. They combine in raw space and are oriented afterwards,
+    because an aggregate's monotonicity is stated on raw values.
+    """
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(relations))
+    blocks = [
+        rel.oriented()[rows[:, i]][:, rel.local_column_indices()]
+        for i, rel in enumerate(relations)
+    ]
+    first = relations[0].schema
+    if first.a:
+        assert aggregate is not None  # required by schemas with a > 0
+        inputs = [
+            rel.matrix[rows[:, i]][
+                :, [rel.schema.skyline_names.index(name) for name in first.aggregate_names]
+            ]
+            for i, rel in enumerate(relations)
+        ]
+        signs = np.asarray(
+            [first[name].preference.sign for name in first.aggregate_names], dtype=np.float64
+        )
+        blocks.append(reduce(aggregate, inputs) * signs)
+    return np.concatenate(blocks, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -396,15 +497,14 @@ class JoinedView:
             )
         if not left.schema.join_names:
             raise JoinError("no join attributes declared; use JoinedView.cartesian")
-        pairs = equality_pairs(GroupIndex(left), GroupIndex(right))
-        return cls(left, right, pairs, aggregate=aggregate)
+        return cls(left, right, HopJoin(HopSpec(), left, right).pairs(), aggregate=aggregate)
 
     @classmethod
     def cartesian(
         cls, left: Relation, right: Relation, aggregate: AggregateLike | None = None
     ) -> JoinedView:
         """Cartesian product (all pairs)."""
-        return cls(left, right, cartesian_pairs(len(left), len(right)), aggregate=aggregate)
+        return cls(left, right, HopJoin(HopSpec.cross(), left, right).pairs(), aggregate=aggregate)
 
     @classmethod
     def theta(
@@ -415,7 +515,8 @@ class JoinedView:
         aggregate: AggregateLike | None = None,
     ) -> JoinedView:
         """Theta join on a single non-equality condition (Sec. 6.6)."""
-        return cls(left, right, theta_pairs(left, right, condition), aggregate=aggregate)
+        pairs = HopJoin(HopSpec.on_theta(condition), left, right).pairs()
+        return cls(left, right, pairs, aggregate=aggregate)
 
     # -- access ----------------------------------------------------------
     def __len__(self) -> int:
@@ -438,35 +539,7 @@ class JoinedView:
         This is the workhorse used to evaluate candidate dominators that
         are *not* part of this view's own pair set (target-set joins).
         """
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        li, ri = pairs[:, 0], pairs[:, 1]
-        lay = self.layout
-        lmat = self.left.oriented()
-        rmat = self.right.oriented()
-        blocks = [
-            lmat[li][:, lay.left_local_idx],
-            rmat[ri][:, lay.right_local_idx],
-        ]
-        if lay.n_aggregate:
-            assert self.aggregate is not None  # enforced in __init__
-            # Aggregate in raw space, then orient the combined value: the
-            # aggregate's monotonicity contract is stated on raw values.
-            raw_l = self.left.matrix[li][:, lay.left_agg_idx]
-            raw_r = self.right.matrix[ri][:, lay.right_agg_idx]
-            combined = self.aggregate(raw_l, raw_r)
-            signs = np.asarray(
-                [
-                    self.left.schema[name].preference.sign
-                    for name in self._aggregate_names()
-                ],
-                dtype=np.float64,
-            )
-            blocks.append(combined * signs)
-        return np.concatenate(blocks, axis=1) if blocks else np.empty((len(pairs), 0))
-
-    def _aggregate_names(self) -> list[str]:
-        sky = list(self.left.schema.skyline_names)
-        return [sky[i] for i in self.layout.left_agg_idx]
+        return joined_matrix((self.left, self.right), pairs, self.aggregate)
 
     def to_relation(self, name: str = "joined") -> Relation:
         """Materialize as a plain Relation (raw values, payload row ids).
@@ -474,44 +547,27 @@ class JoinedView:
         The resulting relation has no join attributes (the join is done);
         payload columns ``_left_row``/``_right_row`` record provenance.
         """
-        lay = self.layout
-        li, ri = self.pairs[:, 0], self.pairs[:, 1]
-        left_sky = list(self.left.schema.skyline_names)
-        right_sky = list(self.right.schema.skyline_names)
-
-        columns: dict[str, object] = {}
-        sky_names: list[str] = []
-        higher: list[str] = []
-        for pos, idx in enumerate(lay.left_local_idx):
-            attr = left_sky[idx]
-            col_name = f"r1.{attr}"
-            columns[col_name] = self.left.matrix[li, idx]
-            sky_names.append(col_name)
-            if self.left.schema[attr].preference.value == "higher":
-                higher.append(col_name)
-        for pos, idx in enumerate(lay.right_local_idx):
-            attr = right_sky[idx]
-            col_name = f"r2.{attr}"
-            columns[col_name] = self.right.matrix[ri, idx]
-            sky_names.append(col_name)
-            if self.right.schema[attr].preference.value == "higher":
-                higher.append(col_name)
-        if lay.n_aggregate:
-            assert self.aggregate is not None  # enforced in __init__
-            raw_l = self.left.matrix[li][:, lay.left_agg_idx]
-            raw_r = self.right.matrix[ri][:, lay.right_agg_idx]
-            combined = self.aggregate(raw_l, raw_r)
-            for pos, attr in enumerate(self._aggregate_names()):
-                columns[attr] = combined[:, pos]
-                sky_names.append(attr)
-                if self.left.schema[attr].preference.value == "higher":
-                    higher.append(attr)
-
-        columns["_left_row"] = [int(x) for x in li]
-        columns["_right_row"] = [int(x) for x in ri]
+        left, right = self.left.schema, self.right.schema
+        specs = (
+            [left[attr] for attr in left.local_names]
+            + [right[attr] for attr in right.local_names]
+            + [left[attr] for attr in left.aggregate_names]
+        )
+        # Orienting multiplies each column by its sign (+1 or -1), so
+        # multiplying again restores the raw values exactly.
+        raw = self.oriented() * np.asarray([spec.preference.sign for spec in specs])
+        columns: dict[str, ColumnData] = {
+            column: raw[:, j] for j, column in enumerate(self.layout.names)
+        }
+        columns["_left_row"] = [int(x) for x in self.pairs[:, 0]]
+        columns["_right_row"] = [int(x) for x in self.pairs[:, 1]]
         schema = RelationSchema.build(
-            skyline=sky_names,
-            higher_is_better=higher,
+            skyline=list(self.layout.names),
+            higher_is_better=[
+                column
+                for column, spec in zip(self.layout.names, specs)
+                if spec.preference.value == "higher"
+            ],
             payload=["_left_row", "_right_row"],
         )
         return Relation(schema, columns, name=name)

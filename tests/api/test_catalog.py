@@ -121,6 +121,22 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             cat.drop("left")
 
+    def test_dropped_handle_no_longer_reaches_the_catalog(self, pair):
+        """Mutating a dropped dataset through a handle the caller kept
+        reaches neither the catalog's subscribers nor its engines."""
+        eng = Engine()
+        left = eng.register("L", pair[0])
+        eng.register("R", pair[1])
+        eng.query("L", "R").k(5).run()
+        seen = []
+        eng.catalog.subscribe(lambda ds, delta: seen.append((ds.name, delta.kind)))
+        eng.catalog.drop("L")
+        left.insert_rows([pair[0].record(0)])
+        assert seen == []
+        assert eng.cache_info()["invalidations"] == 0
+        eng.catalog.get("R").insert_rows([pair[1].record(0)])
+        assert seen == [("R", "insert")]  # the live dataset still fans out
+
     def test_drop_then_reregister_never_serves_stale_plans(self, pair):
         """Same name, new Dataset, both at version 1: the uid in the
         cache token keeps the old entries from colliding."""

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import Hop, cascade_ksjq
+from repro.core import Hop, JoinPlan, cascade_ksjq
 from repro.core.cascade import cascade_chains, cascade_oriented
+from repro.core.plan import CascadePlan
 from repro.errors import JoinError, ParameterError
-from repro.relational import Relation, RelationSchema
+from repro.relational import Relation, RelationSchema, ThetaCondition, ThetaOp
+from repro.skyline import k_dominant_skyline_naive
 
 from ..helpers import make_random_pair
 
@@ -70,6 +72,22 @@ class TestChainEnumeration:
             map(tuple, plan.view().pairs.tolist())
         )
 
+    @pytest.mark.parametrize("kind", ["equality", "cartesian", "theta", "conjunction"])
+    def test_two_way_view_is_the_one_hop_cascade(self, kind):
+        left, right = make_random_pair(seed=75, n=12, d=3, g=3)
+        theta = {
+            "theta": ThetaCondition("s0", ThetaOp.LT, "s1"),
+            "conjunction": [
+                ThetaCondition("s0", ThetaOp.LE, "s1"),
+                ThetaCondition("s2", ThetaOp.GT, "s0"),
+            ],
+        }.get(kind)
+        plan = JoinPlan(left, right, kind="theta" if theta else kind, theta=theta)
+        chains = cascade_chains([left, right], [plan.hop])
+        assert chains.shape[0] > 0
+        np.testing.assert_array_equal(plan.view().pairs, chains)
+        assert chains.tolist() == sorted(chains.tolist())  # lexicographic
+
     def test_keep_restriction(self):
         r1 = _leg(6, 1, "L1", cities_out=["X"])
         r2 = _leg(6, 2, "L2", cities_in=["X"], cities_out=["Z"])
@@ -86,6 +104,69 @@ class TestChainEnumeration:
         r1, r2 = make_random_pair(seed=71, n=6, d=3, g=2)
         with pytest.raises(JoinError, match="hops"):
             cascade_chains([r1, r2], [Hop(), Hop()])
+
+
+def _agg_leg(name, skyline, seed, n=8):
+    """A leg whose skyline lists ``cost`` and ``dur`` (both aggregated)
+    in the given order; costs are hundreds, durations units."""
+    rng = np.random.default_rng(seed)
+    scale = {"cost": 100.0, "dur": 1.0}
+    schema = RelationSchema.build(
+        join=["g"], skyline=skyline, aggregate=["cost", "dur"]
+    )
+    columns = {
+        attr: np.floor(rng.uniform(1, 6, n)) * scale.get(attr, 1.0) for attr in skyline
+    }
+    columns["g"] = [i % 2 for i in range(n)]
+    return Relation(schema, columns, name=name)
+
+
+class TestAggregatePairing:
+    """Cascades pair aggregate inputs by name, as the two-way join and
+    ``validate_compatible_aggregates`` do, whatever each schema's order."""
+
+    def test_two_leg_cascade_vectors_equal_the_two_way_view(self):
+        schema_l = RelationSchema.build(
+            join=["g"], skyline=["cost", "dur", "x"], aggregate=["cost", "dur"]
+        )
+        schema_r = RelationSchema.build(
+            join=["g"], skyline=["dur", "cost", "y"], aggregate=["dur", "cost"]
+        )
+        l = Relation(schema_l, {"g": [0], "cost": [100.0], "dur": [1.0], "x": [5.0]})
+        r = Relation(schema_r, {"g": [0], "dur": [3.0], "cost": [300.0], "y": [7.0]})
+        vectors = CascadePlan([l, r], aggregate="sum").oriented()
+        assert vectors.tolist() == [[5.0, 7.0, 400.0, 4.0]]
+
+        l = _agg_leg("L", ["cost", "dur", "x"], seed=1)
+        r = _agg_leg("R", ["dur", "cost", "y"], seed=2)
+        np.testing.assert_array_equal(
+            CascadePlan([l, r], aggregate="sum").oriented(),
+            JoinPlan(l, r, aggregate="sum").view().oriented(),
+        )
+
+    def test_three_leg_naive_answer_matches_hand_summed_bruteforce(self):
+        legs = [
+            _agg_leg("A", ["cost", "dur", "x"], seed=10),
+            _agg_leg("B", ["dur", "cost", "y"], seed=11),
+            _agg_leg("C", ["z", "dur", "cost"], seed=12),
+        ]
+        a, b, c = legs
+        chains, vectors = [], []
+        for i in range(len(a)):
+            for j in range(len(b)):
+                for t in range(len(c)):
+                    if not a.join_key(i) == b.join_key(j) == c.join_key(t):
+                        continue
+                    recs = [a.record(i), b.record(j), c.record(t)]
+                    chains.append((i, j, t))
+                    vectors.append(
+                        [recs[0]["x"], recs[1]["y"], recs[2]["z"]]
+                        + [sum(rec[attr] for rec in recs) for attr in ("cost", "dur")]
+                    )
+        k = 5  # the joined width: 3 locals + 2 aggregates
+        expected = {chains[i] for i in k_dominant_skyline_naive(np.asarray(vectors), k)}
+        result = cascade_ksjq(legs, k, aggregate="sum", algorithm="naive")
+        assert expected and result.chain_set() == expected
 
 
 class TestCascadeKsjq:

@@ -11,9 +11,14 @@ import pytest
 
 from repro.core import JoinPlan, run_dominator, run_grouping, run_naive
 from repro.errors import JoinError
-from repro.relational import Relation, RelationSchema, ThetaCondition, ThetaOp
+from repro.relational import HopJoin, HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
 from repro.relational.groups import ConjunctiveThetaIndex, ThetaGroupIndex
-from repro.relational.join import normalize_theta, theta_pairs
+from repro.relational.join import normalize_theta
+
+
+def theta_pairs(left, right, theta):
+    """Every pair of a theta join, through the hop kernel."""
+    return HopJoin(HopSpec.on_theta(theta), left, right).pairs()
 
 
 def _rel(seed, n=10, name="R"):

@@ -1,10 +1,21 @@
 """Property-based tests for the relational substrate (hypothesis)."""
 
+import operator
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import Relation, RelationSchema, read_csv, write_csv
+from repro.relational import (
+    HopJoin,
+    HopSpec,
+    Relation,
+    RelationSchema,
+    ThetaCondition,
+    ThetaOp,
+    read_csv,
+    write_csv,
+)
 
 
 @st.composite
@@ -86,3 +97,84 @@ def test_group_index_partitions(rel):
     for row in range(len(rel)):
         assert row in idx.groupmates(row)
         assert idx.key_of(row) == rel.join_key(row)
+
+
+_HOP_SCHEMA = RelationSchema.build(join=["g"], skyline=["s0", "s1"], payload=["t"])
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@st.composite
+def hop_cases(draw):
+    """A hop of every kind over two small relations with tied values,
+    plus random row subsets (repeats, empty sides, or every row)."""
+
+    def side(n):
+        columns = {"g": [draw(st.sampled_from([0, 1, 1.0, 2])) for _ in range(n)]}
+        for name in ("s0", "s1", "t"):
+            columns[name] = [float(draw(st.integers(0, 3))) for _ in range(n)]
+        return Relation(_HOP_SCHEMA, columns)
+
+    def condition():
+        attrs = st.sampled_from(["s0", "s1", "t"])
+        return ThetaCondition(draw(attrs), draw(st.sampled_from(list(ThetaOp))), draw(attrs))
+
+    def rows(n):
+        if draw(st.booleans()):
+            return None
+        return draw(st.lists(st.integers(0, n - 1), max_size=10)) if n else []
+
+    left = side(draw(st.integers(0, 7)))
+    right = side(draw(st.integers(0, 7)))
+    kind = draw(st.sampled_from(["key", "columns", "theta", "conjunction", "cartesian"]))
+    if kind == "key":
+        hop = HopSpec()
+    elif kind == "columns":
+        hop = HopSpec.on_columns(*draw(st.sampled_from([("s0", "s1"), ("g", "s0"), ("t", "t")])))
+    elif kind == "theta":
+        hop = HopSpec.on_theta(condition())
+    elif kind == "conjunction":
+        hop = HopSpec.on_theta([condition(), condition()])
+    else:
+        hop = HopSpec.cross()
+    return hop, left, right, rows(len(left)), rows(len(right))
+
+
+def _joins(hop, left, right, l, r):
+    """Nested-loop join predicate, straight from the hop's definition."""
+    if hop.kind == "cartesian":
+        return True
+    if hop.kind == "equality":
+        lv = left.join_key(l) if hop.left_column is None else left.column(hop.left_column)[l]
+        rv = right.join_key(r) if hop.right_column is None else right.column(hop.right_column)[r]
+        return lv == rv
+    return all(
+        _OPS[c.op.value](left.column(c.left_attr)[l], right.column(c.right_attr)[r])
+        for c in hop.theta
+    )
+
+
+@given(hop_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_hop_kernel_matches_nested_loops(case, data):
+    """Same pairs in the same order, counts equal to the pairs, and the
+    same partner-weight sums as a nested-loop join over the subsets."""
+    hop, left, right, left_rows, right_rows = case
+    lrows = list(range(len(left))) if left_rows is None else left_rows
+    rrows = list(range(len(right))) if right_rows is None else right_rows
+    weights = [float(data.draw(st.integers(0, 5))) for _ in rrows]
+    expected = [
+        [pos, r] for pos, l in enumerate(lrows) for r in rrows if _joins(hop, left, right, l, r)
+    ]
+    expected_sums = [
+        sum(w for r, w in zip(rrows, weights) if _joins(hop, left, right, l, r)) for l in lrows
+    ]
+
+    join = HopJoin(hop, left, right)
+    pairs = join.pairs(left_rows, right_rows)
+    assert pairs.dtype == np.intp and pairs.shape == (len(expected), 2)
+    assert pairs.tolist() == expected
+    counts = join.weight_sums(left_rows, right_rows)
+    assert counts.tolist() == [sum(1 for p in expected if p[0] == i) for i in range(len(lrows))]
+    assert int(counts.sum()) == len(pairs)
+    sums = join.weight_sums(left_rows, right_rows, np.asarray(weights, dtype=np.float64))
+    assert sums.tolist() == expected_sums

@@ -5,17 +5,14 @@ import pytest
 
 from repro.errors import JoinError, SchemaError
 from repro.relational import (
+    HopJoin,
+    HopSpec,
     JoinedView,
     Relation,
     RelationSchema,
     ThetaCondition,
     ThetaOp,
-    cartesian_pairs,
-    equality_pairs,
-    pairs_product,
-    theta_pairs,
 )
-from repro.relational.groups import GroupIndex
 from repro.relational.join import make_layout
 
 
@@ -40,24 +37,29 @@ def right():
 
 
 class TestPairEnumeration:
+    """Pairs of each join kind, through the one hop kernel."""
+
     def test_pairs_product(self):
-        out = pairs_product([0, 1], [2, 3])
+        rel = _rel(["g"] * 4, [[0, 0]] * 4, ["a", "b"])
+        out = HopJoin(HopSpec.cross(), rel, rel).pairs([0, 1], [2, 3])
         assert out.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
-    def test_pairs_product_empty(self):
-        assert pairs_product([], [1]).shape == (0, 2)
+    def test_pairs_product_empty(self, left, right):
+        assert HopJoin(HopSpec.cross(), left, right).pairs([], [1]).shape == (0, 2)
 
     def test_equality_pairs(self, left, right):
-        pairs = equality_pairs(GroupIndex(left), GroupIndex(right))
+        pairs = HopJoin(HopSpec(), left, right).pairs()
         assert sorted(map(tuple, pairs.tolist())) == [(0, 0), (1, 0), (2, 1)]
 
     def test_equality_pairs_no_overlap(self):
         l = _rel(["x"], [[1, 1]], ["a", "b"])
         r = _rel(["y"], [[1, 1]], ["a", "b"])
-        assert equality_pairs(GroupIndex(l), GroupIndex(r)).shape == (0, 2)
+        assert HopJoin(HopSpec(), l, r).pairs().shape == (0, 2)
 
     def test_cartesian_pairs(self):
-        assert cartesian_pairs(2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        rel = _rel(["g"] * 2, [[0, 0]] * 2, ["a", "b"])
+        pairs = HopJoin(HopSpec.cross(), rel, rel).pairs()
+        assert pairs.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     @pytest.mark.parametrize(
         "op,expected",
@@ -72,7 +74,7 @@ class TestPairEnumeration:
         lrel = _rel(["g"] * 3, [[1, 0], [2, 0], [3, 0]], ["t", "z"])
         rrel = _rel(["g"] * 3, [[1, 0], [2, 0], [3, 0]], ["t", "z"])
         cond = ThetaCondition("t", op, "t")
-        pairs = theta_pairs(lrel, rrel, cond)
+        pairs = HopJoin(HopSpec.on_theta(cond), lrel, rrel).pairs()
         assert set(map(tuple, pairs.tolist())) == expected
 
 
