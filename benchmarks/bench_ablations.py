@@ -7,7 +7,7 @@ These quantify the internal decisions DESIGN.md calls out:
   the Python naive baseline is usable at all;
 * TSA presorting: candidates discovered early keep the window small;
 * faithful vs exact mode: what the soundness repair costs;
-* plan reuse: JoinPlan memoizes group indexes and the joined view.
+* plan reuse: JoinPlan memoizes its hop kernel and the joined view.
 """
 
 import pytest

@@ -1,13 +1,18 @@
 """The query engine: cached join plans + cost-based algorithm choice.
 
 The paper's query problems all run over *prepared* join structures
-(joined views, group indexes, categorizations, chain sets). The seed
-library rebuilt those on every call; :class:`Engine` instead keeps an
-LRU cache of :class:`~repro.core.plan.JoinPlan` /
+(hop kernels, joined views, chain sets, cardinality statistics, and a
+cascade's per-``k`` Theorem-4 prunings). The seed library rebuilt
+those on every call; :class:`Engine` instead keeps an LRU cache of
+:class:`~repro.core.plan.JoinPlan` /
 :class:`~repro.core.plan.CascadePlan` objects keyed by the relations'
 content fingerprints plus the join-graph configuration, so a ``ksjq``
 followed by a ``find_k`` over the same relations — or the same
 dashboard query issued a thousand times — pays join preparation once.
+Two-way SS/SN/NN categorizations are not cached: they depend on ``k``
+and every grouping, dominator or cartesian run recomputes them (find-k
+even twice for an evaluated ``k``: once for its bounds, once in the
+grouping run).
 
 One engine surface serves every join shape the paper describes: the
 two-way equality/cartesian/theta joins *and* the m-way cascades of
@@ -549,8 +554,8 @@ class Engine:
         over registered datasets are keyed by ``(name, version)``;
         anonymous relations key by content fingerprint, so two
         equal-content relation objects share a cache entry and any
-        memoized structure computed by one query (the joined view, the
-        group indexes) is reused by the next.
+        memoized structure computed by one query (the hop kernel, the
+        joined view) is reused by the next.
         """
         return self._plan_with_hit(left, right, join, aggregate, theta)[0]
 

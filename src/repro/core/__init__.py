@@ -21,7 +21,6 @@ from .categorize import (
     Category,
     Fate,
     categorize,
-    categorize_theta,
 )
 from .cartesian import run_cartesian
 from .dominator import run_dominator
@@ -81,7 +80,6 @@ __all__ = [
     "cascade_ksjq",
     "cascade_progressive",
     "categorize",
-    "categorize_theta",
     "default_engine",
     "find_k",
     "find_k_at_least_delta",

@@ -23,13 +23,14 @@ Algorithms:
   (ground truth);
 * ``pruned`` — the m-way analogue of the paper's Theorem 4: a tuple of
   relation i dominated under threshold ``k'_i = k − Σ_{j≠i} l_j``
-  (counted over its base attributes) *by a tuple sharing both its hop
-  values* can never appear in a skyline chain, because substituting the
-  dominator yields a valid chain that k-dominates. (For theta hops,
-  "sharing the hop values" means sharing the exact theta-attribute
-  values, which guarantees an identical partner set.) Surviving chains
-  are verified against the full chain set, keeping the algorithm exact
-  for strictly monotone aggregates.
+  (counted over its base attributes) *by a tuple that can stand in for
+  it on both its hops* can never appear in a skyline chain, because
+  substituting the dominator yields a valid chain that k-dominates.
+  This is the two-way NN rule of :func:`~repro.core.categorize.categorize`
+  applied per relation: under equality hops a stand-in shares both hop
+  values, under theta hops it joins at least the same partners
+  (Sec. 6.6). Surviving chains are verified against the full chain
+  set, keeping the algorithm exact for strictly monotone aggregates.
 
 The valid k range generalizes to ``max_i d_i < k <= Σ_i l_i + a``
 (:class:`~repro.core.params.CascadeParams`).
@@ -55,6 +56,7 @@ from ..relational.join import HopJoin, HopSpec, joined_matrix
 from ..relational.relation import Relation
 from ..serving.deadline import active_deadline
 from ..skyline.dominance import is_k_dominated
+from .categorize import Category, categorize
 from .cost import choose_algorithm
 from .naive import _naive
 from .result import CascadeResult
@@ -73,7 +75,6 @@ __all__ = [
     "cascade_oriented",
     "cascade_ksjq",
     "cascade_progressive",
-    "hop_side_values",
     "join_chains",
     "normalize_hops",
     "run_cascade_naive",
@@ -111,52 +112,6 @@ def normalize_hops(m: int, hops: HopsLike) -> tuple[HopSpec, ...]:
     if len(specs) != m - 1:
         raise JoinError(f"need {m - 1} hops for {m} relations, got {len(specs)}")
     return specs
-
-
-def hop_side_values(
-    relation: Relation, hop: HopSpec, side: str
-) -> Sequence[object] | None:
-    """Connector values of one relation for one side of a hop.
-
-    Returns a per-row list of hashable values (rows sharing a value are
-    interchangeable on this side of the hop), or ``None`` for a
-    cartesian hop where every row is compatible with every partner.
-    """
-    if hop.kind == "cartesian":
-        return None
-    if hop.kind == "theta":
-        attrs = [c.left_attr if side == "left" else c.right_attr for c in hop.theta]
-        cols = [relation.column(a) for a in attrs]
-        return [tuple(col[i] for col in cols) for i in range(len(relation))]
-    column = hop.left_column if side == "left" else hop.right_column
-    if column is None:
-        return relation.join_keys()
-    return list(relation.column(column))
-
-
-def connector_groups(
-    relations: Sequence[Relation], hops: Sequence[HopSpec], i: int
-) -> dict[tuple[object, object], list[int]]:
-    """Rows of relation ``i`` grouped by their hop connector values.
-
-    Two rows in one group are interchangeable within every chain (they
-    share the incoming and outgoing connector values), which is exactly
-    the substitution set of the Theorem-4 pruning; the group sizes also
-    drive the cost model's ``categorization_cost``.
-    """
-    rel = relations[i]
-    incoming = hop_side_values(rel, hops[i - 1], "right") if i > 0 else None
-    outgoing = (
-        hop_side_values(rel, hops[i], "left") if i < len(relations) - 1 else None
-    )
-    groups: dict[tuple[object, object], list[int]] = {}
-    for row in range(len(rel)):
-        key = (
-            incoming[row] if incoming is not None else None,
-            outgoing[row] if outgoing is not None else None,
-        )
-        groups.setdefault(key, []).append(row)
-    return groups
 
 
 def validate_hops(relations: Sequence[Relation], hops: Sequence[HopSpec]) -> None:
@@ -341,45 +296,28 @@ def cascade_progressive(
 
 
 def prune_rows(
-    relations: Sequence[Relation],
-    hops: Sequence[HopSpec],
-    k: int,
-    groups_per_relation: Sequence[dict[tuple[object, object], list[int]]] | None = None,
+    relations: Sequence[Relation], keys: Sequence[FloatMatrix], k: int
 ) -> list[IntVector]:
     """Per-relation NN pruning (m-way Theorem 4).
 
-    A row of relation i may be discarded when some other row shares
-    *both* its hop connector values (so it can substitute into every
-    chain) and k'_i-dominates it, with ``k'_i = k − Σ_{j≠i} l_j``
-    counted over all of relation i's base attributes. Substituting the
-    dominator keeps the chain valid, matches all other components
-    exactly, and wins at least ``k'_i − a`` locals plus the dominated
-    aggregate inputs — at least k joined attributes in total
-    (strictness via the strictly monotone aggregate). For theta hops
-    the connector value is the exact theta-attribute tuple, so a
-    sharer's partner set is identical and substitution stays valid.
+    A row of relation i may be discarded when one of its stand-ins
+    under ``keys[i]`` (:meth:`~repro.core.plan.CascadePlan.substitution_keys`:
+    a row that can take its place in every chain) k'_i-dominates it,
+    with ``k'_i = k − Σ_{j≠i} l_j`` counted over all of relation i's
+    base attributes: exactly the rows :func:`categorize` labels NN.
+    Substituting the dominator keeps the chain valid, matches all other
+    components exactly, and wins at least ``k'_i − a`` locals plus the
+    dominated aggregate inputs — at least k joined attributes in total
+    (strictness via the strictly monotone aggregate).
     """
     total_locals = sum(rel.schema.l for rel in relations)
     keep: list[IntVector] = []
-    for i, rel in enumerate(relations):
+    for rel, key in zip(relations, keys):
         k_prime = k - (total_locals - rel.schema.l)
         if k_prime < 1:
             keep.append(np.arange(len(rel)))
-            continue
-        # Group rows by the hop values that constrain substitution.
-        groups = (
-            groups_per_relation[i]
-            if groups_per_relation is not None
-            else connector_groups(relations, hops, i)
-        )
-        oriented = rel.oriented()
-        survivors = []
-        for rows in groups.values():
-            sub = oriented[rows]
-            for row in rows:
-                if not is_k_dominated(sub, oriented[row], k_prime):
-                    survivors.append(row)
-        keep.append(np.asarray(sorted(survivors), dtype=np.intp))
+        else:
+            keep.append(np.flatnonzero(categorize(rel, k_prime, key).labels != Category.NN))
     return keep
 
 

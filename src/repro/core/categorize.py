@@ -13,9 +13,14 @@ tuples composed solely of SS components are guaranteed k-dominant
 skylines, any NN component makes them guaranteed non-skylines, and
 mixed SS/SN compositions must be verified against target sets.
 
-For non-equality join conditions (Sec. 6.6) the "own group" of a tuple
-generalizes to the set of tuples guaranteed to join with at least the
-same partners (:class:`~repro.relational.groups.ThetaGroupIndex`).
+The "own group" of a tuple is the set of tuples that can stand in for
+it in every join: under an equality join its join group, under a
+cartesian join (Sec. 6.5) the whole relation, and under theta
+conditions (Sec. 6.6) every tuple guaranteed to join with at least the
+same partners. One rule covers all three: it reads the stand-ins off a
+hop side's substitution key
+(:meth:`~repro.relational.join.HopJoin.substitution_keys`), and the
+m-way Theorem-4 pruning of cascades applies it per relation.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..relational.groups import GroupIndex, ThetaGroupIndex
+from ..relational.join import HopJoin, HopSpec
 from ..relational.relation import Relation
-from ..skyline.dominance import is_k_dominated
+from ..skyline.dominance import k_dominated_any
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
 
-    from .._typing import IntVector
+    from .._typing import FloatMatrix, IntVector
 
-__all__ = ["Category", "Fate", "FATE_TABLE", "Categorization", "categorize", "categorize_theta"]
+__all__ = ["Category", "Fate", "FATE_TABLE", "Categorization", "categorize"]
 
 
 class Category(enum.IntEnum):
@@ -108,62 +113,40 @@ class Categorization:
 def categorize(
     relation: Relation,
     k_prime: int,
-    group_index: GroupIndex | None = None,
+    key: FloatMatrix | None = None,
 ) -> Categorization:
     """Partition ``relation`` into SS/SN/NN under ``k_prime``-dominance.
 
-    Group-local domination decides SN vs NN; whole-relation domination
-    decides SS vs SN. Only group skylines need the (more expensive)
-    whole-relation check, since an overall-undominated tuple is
-    necessarily group-undominated.
+    ``key`` is one hop side's substitution key
+    (:meth:`~repro.relational.join.HopJoin.substitution_keys`): row
+    ``s`` stands in for row ``u`` when ``key[s] <= key[u]`` in every
+    column. A row k'-dominated by one of its stand-ins is NN, because
+    swapping the stand-in into every joined tuple built from the row
+    gives a joined tuple that dominates it. The default key is the
+    composite join key, whose stand-ins are a row's join group
+    (Def. 3). Under theta conditions the rule is conservative, as the
+    paper notes: a would-be NN row may be labelled SN, which costs
+    only verification, never correctness.
+
+    Rows with equal keys share their stand-ins, so each class of equal
+    keys takes one dominance pass against its stand-ins. The survivors
+    then take one pass against the whole relation, which splits SS
+    from SN: only they need it, since a row undominated overall is
+    undominated among its stand-ins.
     """
-    if group_index is None:
-        group_index = GroupIndex(relation)
+    if key is None:
+        key = HopJoin(HopSpec(), relation, relation).substitution_keys()[0]
     matrix = relation.oriented()
-    n = len(relation)
-    labels = np.full(n, Category.NN, dtype=np.int8)
-
-    group_skyline: list[int] = []
-    for _key, rows in group_index.items():
-        sub = matrix[rows]
-        for pos, row in enumerate(rows):
-            if not is_k_dominated(sub, matrix[row], k_prime):
-                group_skyline.append(row)
-
-    for row in group_skyline:
-        if is_k_dominated(matrix, matrix[row], k_prime):
-            labels[row] = Category.SN
-        else:
-            labels[row] = Category.SS
-    return Categorization(relation=relation, k_prime=k_prime, labels=labels)
-
-
-def categorize_theta(
-    relation: Relation,
-    k_prime: int,
-    theta_index: ThetaGroupIndex,
-) -> Categorization:
-    """Categorize one side of a non-equality join (Sec. 6.6).
-
-    The "own group" of tuple ``u`` is the set of tuples guaranteed to be
-    join-compatible with every partner of ``u`` (including ties on the
-    theta attribute). If such a tuple k'-dominates ``u``, every joined
-    tuple built from ``u`` is dominated by the corresponding joined
-    tuple built from the dominator, so ``u`` is NN. The paper notes this
-    may conservatively classify some would-be NN tuples as SN, which
-    costs only extra verification, never correctness.
-    """
-    matrix = relation.oriented()
-    n = len(relation)
-    labels = np.full(n, Category.NN, dtype=np.int8)
-
-    for row in range(n):
-        superset = theta_index.superset_rows(row)
-        sub = matrix[superset]
-        if is_k_dominated(sub, matrix[row], k_prime):
-            continue  # NN: dominated by a guaranteed-compatible tuple
-        if is_k_dominated(matrix, matrix[row], k_prime):
-            labels[row] = Category.SN
-        else:
-            labels[row] = Category.SS
+    classes, inverse = np.unique(key, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    nn = np.zeros(len(relation), dtype=bool)
+    for c, class_key in enumerate(classes):
+        rows = np.flatnonzero(inverse == c)
+        stand_ins = (key <= class_key).all(axis=1)
+        nn[rows] = k_dominated_any(matrix[stand_ins], matrix[rows], k_prime)
+    survivors = np.flatnonzero(~nn)
+    labels = np.full(len(relation), Category.NN, dtype=np.int8)
+    labels[survivors] = np.where(
+        k_dominated_any(matrix, matrix[survivors], k_prime), Category.SN, Category.SS
+    )
     return Categorization(relation=relation, k_prime=k_prime, labels=labels)

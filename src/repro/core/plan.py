@@ -2,11 +2,13 @@
 
 A :class:`JoinPlan` captures the join kind (equality / cartesian /
 theta) as one hop (:attr:`JoinPlan.hop`), the optional aggregate
-function, and memoizes the derived structures every KSJQ algorithm
-needs: the joined view, group indexes, categorizations, and the hop
-kernel that enumerates and counts compatible pairs between arbitrary
-row subsets. Algorithms 1-3 all consume a plan, so naïve, grouping and
-dominator-based runs are guaranteed to answer the same query.
+function, and memoizes what does not depend on ``k``: the hop kernel
+that enumerates and counts compatible pairs between arbitrary row
+subsets, the joined view and the cardinality statistics. The SS/SN/NN
+categorizations depend on ``k`` and are recomputed on every call, from
+the hop kernel's substitution keys. Algorithms 1-3 all consume a plan,
+so naïve, grouping and dominator-based runs are guaranteed to answer
+the same query.
 
 A :class:`CascadePlan` is the m-way counterpart: its chains extend
 through the same kernel one hop at a time (paper Sec. 2.3), and both
@@ -25,10 +27,9 @@ import numpy as np
 
 from ..errors import AggregateError, JoinError, ParameterError
 from ..relational.aggregates import AggregateFunction, get_aggregate
-from ..relational.groups import ConjunctiveThetaIndex, GroupIndex, ThetaGroupIndex
 from ..relational.join import HopJoin, HopSpec, JoinedView, ThetaCondition, joined_matrix
 from ..relational.relation import Relation
-from .categorize import Categorization, categorize, categorize_theta
+from .categorize import Categorization, categorize
 from .params import CascadeParams, KSJQParams
 
 if TYPE_CHECKING:
@@ -81,11 +82,12 @@ class CascadeStatsDict(TypedDict):
 class PlanStats:
     """Cardinality statistics of a prepared join, for cost-based choices.
 
-    All counts are exact (derived from the group indexes), not sampled;
-    nothing here materializes the joined view. ``categorization_cost``
-    is an abstract cost in units of pairwise dominance comparisons: the
-    SS/SN/NN categorization compares every tuple against its group, so
-    it scales with the sum of squared group sizes on both sides.
+    All counts are exact (equality groups are the classes of equal
+    substitution keys), not sampled; nothing here materializes the
+    joined view. ``categorization_cost`` is an abstract cost in units
+    of pairwise dominance comparisons: the SS/SN/NN categorization
+    compares every tuple against its group, so it scales with the sum
+    of squared group sizes on both sides.
     ``joined_width`` is the number of joined skyline attributes
     ``l1 + l2 + a`` — together with ``join_size`` it sizes the joined
     matrix.
@@ -279,7 +281,7 @@ class JoinPlan(_IndexedPlan):
 
     Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _join, _view, _left_groups, _right_groups, _left_theta, _right_theta, _stats
+    # guarded-by-writes: _memo_lock: _join, _view, _stats
     """
 
     INDEX_SIDES = ("left", "right")
@@ -318,10 +320,6 @@ class JoinPlan(_IndexedPlan):
 
         self._join: HopJoin | None = None
         self._view: JoinedView | None = None
-        self._left_groups: GroupIndex | None = None
-        self._right_groups: GroupIndex | None = None
-        self._left_theta: ThetaGroupIndex | ConjunctiveThetaIndex | None = None
-        self._right_theta: ThetaGroupIndex | ConjunctiveThetaIndex | None = None
         self._stats: PlanStats | None = None
         super().__init__()
 
@@ -385,13 +383,17 @@ class JoinPlan(_IndexedPlan):
                 # honest proxy for both.
                 cat_cost = n1 * n1 + n2 * n2
                 if self.kind == "equality":
-                    left_sizes = self.left_groups().sizes()
-                    right_sizes = self.right_groups().sizes()
-                    cat_cost = sum(s * s for s in left_sizes.values()) + sum(
-                        s * s for s in right_sizes.values()
+                    # Both sides' key codes come from one dict, so a
+                    # group shared by the sides is one key class of both.
+                    left_key, right_key = self.hop_join().substitution_keys()
+                    left_classes, left_sizes = np.unique(left_key, axis=0, return_counts=True)
+                    right_classes, right_sizes = np.unique(
+                        right_key, axis=0, return_counts=True
                     )
+                    cat_cost = int((left_sizes**2).sum() + (right_sizes**2).sum())
                     left_g, right_g = len(left_sizes), len(right_sizes)
-                    shared_g = len(left_sizes.keys() & right_sizes.keys())
+                    union = np.unique(np.concatenate([left_classes, right_classes]), axis=0)
+                    shared_g = left_g + right_g - len(union)
                 elif self.kind == "cartesian":
                     left_g = right_g = shared_g = 1 if (n1 and n2) else 0
                 else:
@@ -413,50 +415,6 @@ class JoinPlan(_IndexedPlan):
                 )
         return self._stats
 
-    def left_groups(self) -> GroupIndex:
-        if self._left_groups is None:
-            with self._memo_lock:
-                if self._left_groups is None:
-                    self._left_groups = GroupIndex(self.left)
-        return self._left_groups
-
-    def right_groups(self) -> GroupIndex:
-        if self._right_groups is None:
-            with self._memo_lock:
-                if self._right_groups is None:
-                    self._right_groups = GroupIndex(self.right)
-        return self._right_groups
-
-    def left_theta_index(self) -> ThetaGroupIndex | ConjunctiveThetaIndex:
-        if self._left_theta is None:
-            with self._memo_lock:
-                if self._left_theta is None:
-                    indexes = [
-                        ThetaGroupIndex(self.left, cond.left_attr, cond.op, is_left=True)
-                        for cond in self.theta_conditions
-                    ]
-                    self._left_theta = (
-                        indexes[0]
-                        if len(indexes) == 1
-                        else ConjunctiveThetaIndex(indexes)
-                    )
-        return self._left_theta
-
-    def right_theta_index(self) -> ThetaGroupIndex | ConjunctiveThetaIndex:
-        if self._right_theta is None:
-            with self._memo_lock:
-                if self._right_theta is None:
-                    indexes = [
-                        ThetaGroupIndex(self.right, cond.right_attr, cond.op, is_left=False)
-                        for cond in self.theta_conditions
-                    ]
-                    self._right_theta = (
-                        indexes[0]
-                        if len(indexes) == 1
-                        else ConjunctiveThetaIndex(indexes)
-                    )
-        return self._right_theta
-
     def joined(self) -> tuple[IntMatrix, FloatMatrix]:
         """The joined pairs and their oriented matrix."""
         view = self.view()
@@ -466,41 +424,17 @@ class JoinPlan(_IndexedPlan):
         return self.left, self.right
 
     # ------------------------------------------------------------------
-    # Categorization (SS/SN/NN) per join kind
+    # Categorization (SS/SN/NN)
     # ------------------------------------------------------------------
     def categorize_left(self, k_prime: int) -> Categorization:
-        """Categorize R1 under its threshold, honoring the join kind."""
-        if self.kind == "equality":
-            return categorize(self.left, k_prime, self.left_groups())
-        if self.kind == "theta":
-            return categorize_theta(self.left, k_prime, self.left_theta_index())
-        return self._categorize_cartesian(self.left, k_prime)
+        """Categorize R1 under its threshold, its stand-ins read off the
+        hop kernel's left substitution key."""
+        return categorize(self.left, k_prime, self.hop_join().substitution_keys()[0])
 
     def categorize_right(self, k_prime: int) -> Categorization:
-        """Categorize R2 under its threshold, honoring the join kind."""
-        if self.kind == "equality":
-            return categorize(self.right, k_prime, self.right_groups())
-        if self.kind == "theta":
-            return categorize_theta(self.right, k_prime, self.right_theta_index())
-        return self._categorize_cartesian(self.right, k_prime)
-
-    @staticmethod
-    def _categorize_cartesian(relation: Relation, k_prime: int) -> Categorization:
-        """Cartesian special case (Sec. 6.5): one group, hence no SN.
-
-        A tuple is SS when it is a k'-dominant skyline of the whole
-        relation and NN otherwise; the fate table then decides every
-        joined tuple without any verification.
-        """
-        from ..skyline.dominance import is_k_dominated
-        from .categorize import Category
-
-        matrix = relation.oriented()
-        labels = np.full(len(relation), Category.NN, dtype=np.int8)
-        for row in range(len(relation)):
-            if not is_k_dominated(matrix, matrix[row], k_prime):
-                labels[row] = Category.SS
-        return Categorization(relation=relation, k_prime=k_prime, labels=labels)
+        """Categorize R2 under its threshold, its stand-ins read off the
+        hop kernel's right substitution key."""
+        return categorize(self.right, k_prime, self.hop_join().substitution_keys()[1])
 
     # ------------------------------------------------------------------
     # Pair enumeration between row subsets
@@ -547,8 +481,9 @@ class CascadeStats:
     partner-weight sums — nothing here materializes the chain set (a
     theta conjunction hop enumerates its pairs). ``categorization_cost``
     is the abstract cost of the pruned algorithm's per-relation
-    Theorem-4 grouping pass: the sum of squared connector-group sizes
-    across every relation.
+    Theorem-4 grouping pass: the sum of squared sizes of each
+    relation's classes of equal substitution keys, across every
+    relation.
     """
 
     kind: str
@@ -597,7 +532,7 @@ class CascadePlan(_IndexedPlan):
 
     Memoization contract: see :class:`_IndexedPlan`.
 
-    # guarded-by-writes: _memo_lock: _joins, _chains, _oriented, _sorted, _pruned, _pruned_candidates, _groups, _stats
+    # guarded-by-writes: _memo_lock: _joins, _chains, _oriented, _sorted, _pruned, _pruned_candidates, _keys, _stats
     """
 
     kind = "cascade"
@@ -634,7 +569,7 @@ class CascadePlan(_IndexedPlan):
         self._sorted: FloatMatrix | None = None
         self._pruned: dict[int, tuple[list[IntVector], int]] = {}
         self._pruned_candidates: dict[int, tuple[IntMatrix, FloatMatrix]] = {}
-        self._groups: list[dict[tuple[object, object], list[int]]] | None = None
+        self._keys: list[FloatMatrix] | None = None
         self._stats: CascadeStats | None = None
         super().__init__()
 
@@ -706,18 +641,22 @@ class CascadePlan(_IndexedPlan):
                     self._sorted = sort_rows_for_early_exit(self.oriented())
         return self._sorted
 
-    def connector_group_list(self) -> list[dict[tuple[object, object], list[int]]]:
-        """Per-relation Theorem-4 connector groups (k-independent), cached."""
-        if self._groups is None:
-            with self._memo_lock:
-                if self._groups is None:
-                    from .cascade import connector_groups
+    def substitution_keys(self) -> list[FloatMatrix]:
+        """Per-relation substitution keys (k-independent), cached.
 
-                    self._groups = [
-                        connector_groups(self.relations, self.hops, i)
-                        for i in range(len(self.relations))
-                    ]
-        return self._groups
+        A relation's key puts its incoming hop's right-side key beside
+        its outgoing hop's left-side key, so a row's stand-ins can take
+        its place in every chain (the Theorem-4 substitution set).
+        """
+        if self._keys is None:
+            with self._memo_lock:
+                if self._keys is None:
+                    sides = [join.substitution_keys() for join in self.hop_joins()]
+                    first, last = self.relations[0], self.relations[-1]
+                    incoming = [np.empty((len(first), 0))] + [right for _, right in sides]
+                    outgoing = [left for left, _ in sides] + [np.empty((len(last), 0))]
+                    self._keys = [np.hstack(pair) for pair in zip(incoming, outgoing)]
+        return self._keys
 
     def pruned_keep(self, k: int) -> tuple[list[IntVector], int]:
         """Per-relation survivor rows of the Theorem-4 pruning at ``k``.
@@ -731,12 +670,7 @@ class CascadePlan(_IndexedPlan):
                 if k not in self._pruned:
                     from .cascade import prune_rows
 
-                    keep = prune_rows(
-                        self.relations,
-                        self.hops,
-                        k,
-                        groups_per_relation=self.connector_group_list(),
-                    )
+                    keep = prune_rows(self.relations, self.substitution_keys(), k)
                     pruned = sum(
                         len(rel) - len(rows) for rel, rows in zip(self.relations, keep)
                     )
@@ -778,12 +712,11 @@ class CascadePlan(_IndexedPlan):
             weights = join.weight_sums(weights=weights)
         join_size = int(round(float(weights.sum())))
 
-        # Theorem-4 grouping cost: squared connector-group sizes,
-        # over exactly the (cached) groups the pruning pass uses.
+        # Theorem-4 grouping cost: squared sizes of the classes of
+        # equal keys, over exactly the (cached) keys the pruning uses.
         cat_cost = sum(
-            len(rows) * len(rows)
-            for groups in self.connector_group_list()
-            for rows in groups.values()
+            int((np.unique(key, axis=0, return_counts=True)[1] ** 2).sum())
+            for key in self.substitution_keys()
         )
         return CascadeStats(
             kind=self.kind,

@@ -1,4 +1,4 @@
-"""Relational substrate: schemas, relations, joins and join groups.
+"""Relational substrate: schemas, relations and joins.
 
 This package is the storage and join layer beneath the KSJQ algorithms.
 See :mod:`repro.relational.schema` for attribute roles and preferences,
@@ -20,7 +20,7 @@ from .aggregates import (
 )
 from .csvio import read_csv, write_csv
 from .dataset import Dataset, MutationDelta
-from .groups import GroupIndex, ThetaGroupIndex, ThetaOp
+from .groups import ThetaOp
 from .join import (
     HopJoin,
     HopSpec,
@@ -36,7 +36,6 @@ __all__ = [
     "AggregateFunction",
     "AttributeSpec",
     "Dataset",
-    "GroupIndex",
     "HopJoin",
     "HopSpec",
     "JoinedLayout",
@@ -52,7 +51,6 @@ __all__ = [
     "Role",
     "SUM",
     "ThetaCondition",
-    "ThetaGroupIndex",
     "ThetaOp",
     "get_aggregate",
     "joined_matrix",

@@ -1,9 +1,10 @@
 """Named, versioned datasets: the mutable handle over immutable relations.
 
-A :class:`Relation` is immutable by design — every KSJQ structure
-(joined views, group indexes, categorizations) is memoized against its
-content. A :class:`Dataset` is the serving-layer complement: a *named*
-handle holding the current relation snapshot plus a monotone version
+A :class:`Relation` is immutable by design — the structures a plan
+memoizes (hop kernels, joined views, chain sets, statistics) are built
+against its content and stay valid as long as the snapshot does. A
+:class:`Dataset` is the serving-layer complement: a *named* handle
+holding the current relation snapshot plus a monotone version
 counter. Mutators are copy-on-write: ``insert_rows`` / ``delete_rows``
 / ``replace`` build a brand-new :class:`Relation` (existing snapshots,
 and any plan built over them, stay valid forever) and bump the version.

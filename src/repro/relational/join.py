@@ -5,7 +5,8 @@ it. What they share is one *hop kernel* and one *joined layout*:
 
 * :class:`HopJoin` answers, for one hop between two relations and any
   row subsets of its sides, which rows join and how many (summed
-  partner weights) — for equality, cartesian and theta hops alike. A
+  partner weights) — for equality, cartesian and theta hops alike —
+  and which rows can stand in for which (its substitution keys). A
   two-way join is the one-hop case of a cascade (paper Sec. 2.3), so
   two-way plans and cascade hops both go through it.
 * :func:`joined_matrix` builds the oriented (minimize-space) joined
@@ -175,63 +176,30 @@ class HopSpec:
 class JoinedLayout:
     """Skyline column layout of a joined relation.
 
-    Attributes
-    ----------
-    names:
-        Joined skyline attribute names: ``r1.<local>``, ``r2.<local>``,
-        then bare aggregate names.
-    left_local_idx / right_local_idx:
-        Column positions (within each base relation's skyline matrix) of
-        the local attributes contributing to the joined tuple.
-    left_agg_idx / right_agg_idx:
-        Column positions of the aggregate inputs, paired positionally.
+    ``names`` are the joined skyline attributes: ``r1.<local>``,
+    ``r2.<local>``, then the bare aggregate names, each aggregate
+    pairing its two inputs by name; ``n_aggregate`` counts the
+    aggregates.
     """
 
     names: tuple[str, ...]
-    left_local_idx: tuple[int, ...]
-    right_local_idx: tuple[int, ...]
-    left_agg_idx: tuple[int, ...]
-    right_agg_idx: tuple[int, ...]
-
-    @property
-    def n_left_local(self) -> int:
-        return len(self.left_local_idx)
-
-    @property
-    def n_right_local(self) -> int:
-        return len(self.right_local_idx)
-
-    @property
-    def n_aggregate(self) -> int:
-        return len(self.left_agg_idx)
+    n_aggregate: int
 
     @property
     def width(self) -> int:
         """Total number of joined skyline attributes (``l1 + l2 + a``)."""
-        return self.n_left_local + self.n_right_local + self.n_aggregate
+        return len(self.names)
 
 
 def make_layout(left: RelationSchema, right: RelationSchema) -> JoinedLayout:
     """Derive the joined skyline layout for two base schemas."""
     left.validate_compatible_aggregates(right)
-    left_sky = list(left.skyline_names)
-    right_sky = list(right.skyline_names)
-    agg_names = [n for n in left_sky if n in set(left.aggregate_names)]
-
-    left_local = [n for n in left_sky if n not in set(agg_names)]
-    right_local = [n for n in right_sky if n not in set(agg_names)]
     names = (
-        [f"r1.{n}" for n in left_local]
-        + [f"r2.{n}" for n in right_local]
-        + list(agg_names)
+        [f"r1.{n}" for n in left.local_names]
+        + [f"r2.{n}" for n in right.local_names]
+        + list(left.aggregate_names)
     )
-    return JoinedLayout(
-        names=tuple(names),
-        left_local_idx=tuple(left_sky.index(n) for n in left_local),
-        right_local_idx=tuple(right_sky.index(n) for n in right_local),
-        left_agg_idx=tuple(left_sky.index(n) for n in agg_names),
-        right_agg_idx=tuple(right_sky.index(n) for n in agg_names),
-    )
+    return JoinedLayout(names=tuple(names), n_aggregate=left.a)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +248,9 @@ class HopJoin:
     further conditions of a conjunction then filter the run).
     :meth:`pairs` enumerates the runs; :meth:`weight_sums` reads sums
     off them without enumerating, except under a conjunction.
+    :meth:`substitution_keys` reads off the same values which rows can
+    stand in for which, the input of SS/SN/NN categorization and of
+    cascade pruning.
     """
 
     def __init__(self, hop: HopSpec, left: Relation, right: Relation) -> None:
@@ -336,6 +307,32 @@ class HopJoin:
         order, lo, hi = self._runs(left, right)
         prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
         return prefix[hi] - prefix[lo]
+
+    def substitution_keys(self) -> tuple[FloatMatrix, FloatMatrix]:
+        """Each side's substitution key, one (n x c) array per side
+        (paper Secs. 5.2, 6.5 and 6.6).
+
+        Row ``s`` joins every partner of row ``u`` on this hop, whatever
+        the other side holds, when ``key[s] <= key[u]`` in every column:
+        ``s`` can then stand in for ``u`` in every joined row built from
+        ``u``. Equality gives the key code twice, as ``(code, -code)``,
+        so stand-ins share the key. Each theta condition gives one
+        signed column, smaller where a row joins more partners; ties
+        join the same partners. A cartesian hop gives no columns: every
+        row stands in for every other.
+        """
+        if self._codes is not None:
+            left, right = (np.column_stack([c, -c]).astype(np.float64) for c in self._codes)
+            return left, right
+        if not self._columns:
+            return np.empty((self.sizes[0], 0)), np.empty((self.sizes[1], 0))
+        # A smaller left value joins more under < and <=, a larger one
+        # under > and >=; the right side is the mirror image.
+        signs = np.asarray(
+            [1.0 if cond.op in (ThetaOp.LT, ThetaOp.LE) else -1.0 for cond in self.hop.theta]
+        )
+        left_values, right_values = zip(*self._columns)
+        return np.column_stack(left_values) * signs, np.column_stack(right_values) * -signs
 
     def _rows(
         self, left_rows: RowsLike | None, right_rows: RowsLike | None

@@ -188,6 +188,32 @@ class TestCascadeKsjq:
         assert naive.chain_set() == expected
         assert pruned.chain_set() == expected
 
+    def test_theta_hops_prune_by_the_superset_rule(self):
+        """A theta-hop row is pruned when a row joining at least its
+        partners on both hops dominates it (paper Sec. 6.6), even though
+        their hop values differ, so grouping rows by equal hop values
+        would keep it."""
+        schema = RelationSchema.build(skyline=["x", "y"], payload=["arr", "dep"])
+
+        def leg(xs, ys, arr, dep):
+            return Relation(schema, {"x": xs, "y": ys, "arr": arr, "dep": dep})
+
+        legs = [
+            leg([0.0, 2.0], [0.0, 2.0], [5.0, 7.0], [0.0, 0.0]),
+            # Row 0 departs later and arrives earlier than rows 1 and 2.
+            leg([0.0, 1.0, 3.0], [0.0, 1.0, 0.0], [12.0, 14.0, 13.0], [10.0, 8.0, 9.0]),
+            leg([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], [20.0, 30.0]),
+        ]
+        hops = [ThetaCondition("arr", ThetaOp.LT, "dep")] * 2
+        plan = CascadePlan(legs, hops)
+        keep, pruned = plan.pruned_keep(5)
+        assert [rows.tolist() for rows in keep] == [[0], [0], [0, 1]]
+        assert pruned == 3
+        result = cascade_ksjq(legs, 5, hops=hops, algorithm="pruned")
+        assert result.pruned_rows == 3
+        assert result.chain_set() == brute_force_cascade(legs, hops, 5)
+        assert result.chain_set() == cascade_ksjq(legs, 5, hops=hops, algorithm="naive").chain_set()
+
     def test_two_way_cascade_matches_ksjq(self):
         import repro
 

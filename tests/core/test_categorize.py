@@ -1,16 +1,25 @@
 """Unit tests for repro.core.categorize (SS/SN/NN and the fate table)."""
 
 from repro.core import FATE_TABLE, Category, Fate, categorize
-from repro.core.categorize import categorize_theta
 from repro.datagen import (
     EXPECTED_TABLE1_CATEGORIES,
     EXPECTED_TABLE2_CATEGORIES,
     flight_example_relations,
 )
-from repro.relational import Relation, RelationSchema, ThetaOp
-from repro.relational.groups import ThetaGroupIndex
+from repro.relational import HopJoin, HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
 
 from ..helpers import make_random_pair
+
+
+def groupmates(relation, row):
+    """Rows sharing ``row``'s composite join key, from the raw values."""
+    return [r for r in range(len(relation)) if relation.join_key(r) == relation.join_key(row)]
+
+
+def left_theta_key(relation, op):
+    """Left substitution key of the condition ``left.arr <op> right.arr``."""
+    hop = HopSpec.on_theta(ThetaCondition("arr", op, "arr"))
+    return HopJoin(hop, relation, relation).substitution_keys()[0]
 
 
 class TestFateTable:
@@ -70,29 +79,25 @@ class TestCategorize:
             assert not is_k_dominated(matrix, matrix[row], k_prime)
 
     def test_nn_tuples_dominated_within_group(self):
-        from repro.relational.groups import GroupIndex
         from repro.skyline import is_k_dominated
 
         left, _ = make_random_pair(seed=8, n=25, d=4, g=5)
         k_prime = 3
         cat = categorize(left, k_prime)
         matrix = left.oriented()
-        groups = GroupIndex(left)
         for row in cat.nn_rows:
-            mates = groups.groupmates(int(row))
+            mates = groupmates(left, int(row))
             assert is_k_dominated(matrix[mates], matrix[row], k_prime)
 
     def test_sn_tuples_group_skyline_but_dominated_overall(self):
-        from repro.relational.groups import GroupIndex
         from repro.skyline import is_k_dominated
 
         left, _ = make_random_pair(seed=9, n=30, d=4, g=6)
         k_prime = 3
         cat = categorize(left, k_prime)
         matrix = left.oriented()
-        groups = GroupIndex(left)
         for row in cat.sn_rows:
-            mates = groups.groupmates(int(row))
+            mates = groupmates(left, int(row))
             assert not is_k_dominated(matrix[mates], matrix[row], k_prime)
             assert is_k_dominated(matrix, matrix[row], k_prime)
 
@@ -112,8 +117,7 @@ class TestCategorizeTheta:
             schema,
             {"x": [0.0, 1.0], "y": [0.0, 1.0], "arr": [10.0, 5.0]},
         )
-        idx = ThetaGroupIndex(rel, "arr", ThetaOp.LT, is_left=True)
-        cat = categorize_theta(rel, 2, idx)
+        cat = categorize(rel, 2, left_theta_key(rel, ThetaOp.LT))
         assert cat.category(0) is Category.SS
         assert cat.category(1) is Category.SN
 
@@ -124,6 +128,5 @@ class TestCategorizeTheta:
             schema,
             {"x": [0.0, 1.0], "y": [0.0, 1.0], "arr": [5.0, 10.0]},
         )
-        idx = ThetaGroupIndex(rel, "arr", ThetaOp.LT, is_left=True)
-        cat = categorize_theta(rel, 2, idx)
+        cat = categorize(rel, 2, left_theta_key(rel, ThetaOp.LT))
         assert cat.category(1) is Category.NN

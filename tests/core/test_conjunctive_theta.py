@@ -2,8 +2,9 @@
 
 Extension of paper Sec. 6.6: several non-equality conditions must hold
 simultaneously (e.g. ``arr < dep`` and ``fee <= budget``). Soundness of
-the SS/SN/NN machinery relies on the guaranteed-compatibility superset
-being the *intersection* of the per-condition supersets.
+the SS/SN/NN machinery relies on a row's stand-ins under the
+conjunction being the *intersection* of its per-condition stand-ins,
+which the substitution key gives by one column per condition.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from repro.core import JoinPlan, run_dominator, run_grouping, run_naive
 from repro.errors import JoinError
 from repro.relational import HopJoin, HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
-from repro.relational.groups import ConjunctiveThetaIndex, ThetaGroupIndex
 from repro.relational.join import normalize_theta
 
 
@@ -84,20 +84,23 @@ class TestConjunctivePairs:
             assert both <= single
 
 
+def left_stand_ins(rel, theta, row):
+    """Rows whose left substitution key is at most ``row``'s everywhere."""
+    key = HopJoin(HopSpec.on_theta(theta), rel, rel).substitution_keys()[0]
+    return set(np.flatnonzero((key <= key[row]).all(axis=1)).tolist())
+
+
 class TestConjunctiveIndex:
     def test_superset_is_intersection(self):
         rel = _rel(3)
-        idx_t = ThetaGroupIndex(rel, "t", ThetaOp.LT, is_left=True)
-        idx_u = ThetaGroupIndex(rel, "u", ThetaOp.GE, is_left=True)
-        conj = ConjunctiveThetaIndex([idx_t, idx_u])
         for row in range(len(rel)):
-            expected = set(idx_t.superset_rows(row)) & set(idx_u.superset_rows(row))
-            assert set(conj.superset_rows(row)) == expected
-            assert row in conj.superset_rows(row)
+            expected = left_stand_ins(rel, CONDS[0], row) & left_stand_ins(rel, CONDS[1], row)
+            assert left_stand_ins(rel, CONDS, row) == expected
+            assert row in expected
 
     def test_requires_conditions(self):
         with pytest.raises(JoinError):
-            ConjunctiveThetaIndex([])
+            HopJoin(HopSpec(kind="theta"), _rel(3), _rel(4))
 
 
 class TestConjunctiveKsjq:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import JoinPlan
+from repro.core.plan import CascadePlan
 from repro.errors import AggregateError, JoinError
-from repro.relational import Relation, RelationSchema, ThetaCondition, ThetaOp
+from repro.relational import HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
 
 from ..helpers import make_random_pair
 
@@ -126,3 +127,60 @@ class TestCartesianCategorization:
 
     def test_repr(self, tiny_pair):
         assert "JoinPlan" in repr(JoinPlan(*tiny_pair))
+
+
+THETA = ThetaCondition("s0", ThetaOp.LT, "s1")
+CONJ = [THETA, ThetaCondition("s2", ThetaOp.GE, "s2")]
+
+
+class TestStatsPinned:
+    """Plan statistics drive every ``auto`` pick and ``explain()`` line;
+    these values were recorded before categorization and cascade
+    pruning moved onto the hop kernel's substitution keys."""
+
+    @pytest.mark.parametrize(
+        "kind,theta,groups,join_size,cost",
+        [
+            ("equality", None, (4, 4, 4), 36, 72),
+            ("cartesian", None, (1, 1, 1), 144, 288),
+            ("theta", THETA, (12, 12, 12), 88, 288),
+            ("theta", CONJ, (12, 12, 12), 74, 288),
+        ],
+    )
+    def test_plan_stats(self, kind, theta, groups, join_size, cost):
+        left, right = make_random_pair(seed=17, n=12, d=3, g=4)
+        stats = JoinPlan(left, right, kind=kind, theta=theta).stats()
+        assert stats.as_dict() == {
+            "kind": kind,
+            "n_left": 12,
+            "n_right": 12,
+            "left_group_count": groups[0],
+            "right_group_count": groups[1],
+            "shared_group_count": groups[2],
+            "join_size": join_size,
+            "categorization_cost": cost,
+            "joined_width": 6,
+        }
+
+    @pytest.mark.parametrize(
+        "hop,join_size,cost",
+        [
+            (HopSpec.on_columns("s0", "s1"), 60, 72),
+            (HopSpec.cross(), 243, 144),
+            (HopSpec.on_theta(THETA), 60, 72),
+            (HopSpec.on_theta(CONJ), 51, 68),
+        ],
+        ids=["equality", "cartesian", "theta", "conjunction"],
+    )
+    def test_cascade_stats(self, hop, join_size, cost):
+        first, _ = make_random_pair(seed=17, n=12, d=3, g=4)
+        second, third = make_random_pair(seed=18, n=9, d=3, g=3)
+        stats = CascadePlan([first, second, third], [HopSpec(), hop]).stats()
+        assert stats.as_dict() == {
+            "kind": "cascade",
+            "base_sizes": [12, 9, 9],
+            "n_relations": 3,
+            "join_size": join_size,
+            "categorization_cost": cost,
+            "joined_width": 9,
+        }

@@ -71,10 +71,11 @@ class TestGenerateRelation:
 
     def test_round_robin_groups_balanced(self):
         rel = generate_relation(30, 3, g=3, seed=1)
-        from repro.relational.groups import GroupIndex
+        from repro.relational import HopJoin, HopSpec
 
-        sizes = GroupIndex(rel).sizes()
-        assert set(sizes.values()) == {10}
+        key = HopJoin(HopSpec(), rel, rel).substitution_keys()[0]
+        _, sizes = np.unique(key, axis=0, return_counts=True)
+        assert set(sizes.tolist()) == {10}
 
     def test_joined_size_formula(self):
         # Table 7's derived parameter: N = n^2 / g when g | n.

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import Category, JoinPlan, run_cartesian, run_dominator, run_grouping, run_naive
 from repro.errors import SoundnessWarning
-from repro.relational import Relation
+from repro.relational import Relation, ThetaCondition, ThetaOp
 
 
 @st.composite
@@ -88,27 +88,63 @@ def test_faithful_never_underreports(instance):
             assert base <= runner(plan, k, mode="faithful").pair_set()
 
 
-@given(ksjq_instances())
-@settings(max_examples=40, deadline=None)
-def test_categorization_is_consistent_partition(instance):
-    from repro.relational.groups import GroupIndex
+@st.composite
+def join_kinds(draw, d):
+    """A two-way join kind over ``s0..s{d-1}``: equality, cartesian, one
+    theta condition, or a two-condition conjunction."""
+    kind = draw(st.sampled_from(["equality", "cartesian", "theta", "conjunction"]))
+    if kind in ("equality", "cartesian"):
+        return kind, None
+    attrs = st.sampled_from([f"s{i}" for i in range(d)])
+    conditions = [
+        ThetaCondition(draw(attrs), draw(st.sampled_from(list(ThetaOp))), draw(attrs))
+        for _ in range(1 if kind == "theta" else 2)
+    ]
+    return "theta", conditions
+
+
+def raw_stand_ins(rel, plan, side, row):
+    """Rows that join every partner ``row`` joins, whatever the other
+    side holds, from the raw join values: the same composite join key
+    (equality), every row (cartesian), or, under each theta condition,
+    every probe partner value that ``row`` joins."""
+    n = len(rel)
+    if plan.kind == "equality":
+        return [s for s in range(n) if rel.join_key(s) == rel.join_key(row)]
+    ok = np.ones(n, dtype=bool)
+    for cond in plan.theta_conditions:
+        values = np.asarray(rel.column(cond.left_attr if side == "left" else cond.right_attr))
+        # Integer-valued data: the values and their midpoints tell
+        # every half-line of partners apart.
+        probes = np.unique(np.concatenate([values, values - 0.5, values + 0.5]))
+        if side == "left":
+            joins = cond.op.evaluate(values[:, None], probes[None, :])
+        else:
+            joins = cond.op.evaluate(probes[None, :], values[:, None])
+        ok &= (joins | ~joins[row]).all(axis=1)
+    return np.flatnonzero(ok).tolist()
+
+
+@given(ksjq_instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_categorization_is_consistent_partition(instance, data):
     from repro.skyline import is_k_dominated
 
     left, right, k, a = instance
+    kind, theta = data.draw(join_kinds(left.schema.d))
     agg = "sum" if a else None
-    plan = JoinPlan(left, right, aggregate=agg)
+    plan = JoinPlan(left, right, kind=kind, theta=theta, aggregate=agg)
     params = plan.params(k)
-    for rel, cat in (
-        (left, plan.categorize_left(params.k1_prime)),
-        (right, plan.categorize_right(params.k2_prime)),
+    for side, rel, cat in (
+        ("left", left, plan.categorize_left(params.k1_prime)),
+        ("right", right, plan.categorize_right(params.k2_prime)),
     ):
         matrix = rel.oriented()
-        groups = GroupIndex(rel)
         seen = 0
         for row in range(len(rel)):
             label = cat.category(row)
             seen += 1
-            mates = groups.groupmates(row)
+            mates = raw_stand_ins(rel, plan, side, row)
             group_dominated = is_k_dominated(
                 matrix[mates], matrix[row], cat.k_prime
             )

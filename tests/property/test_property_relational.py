@@ -89,14 +89,16 @@ def test_sort_by_is_stable_permutation(rel):
 @given(relations())
 @settings(max_examples=50, deadline=None)
 def test_group_index_partitions(rel):
-    from repro.relational.groups import GroupIndex
-
-    idx = GroupIndex(rel)
-    rows = sorted(r for _, members in idx.items() for r in members)
-    assert rows == list(range(len(rel)))
+    # Join groups are the classes of equal equality keys: two rows share
+    # a class exactly when their composite join keys are equal, and each
+    # row's stand-ins are its class.
+    key = HopJoin(HopSpec(), rel, rel).substitution_keys()[0]
+    keys = rel.join_keys()
     for row in range(len(rel)):
-        assert row in idx.groupmates(row)
-        assert idx.key_of(row) == rel.join_key(row)
+        stand_ins = np.flatnonzero((key <= key[row]).all(axis=1)).tolist()
+        assert row in stand_ins
+        assert stand_ins == [r for r in range(len(rel)) if keys[r] == keys[row]]
+        assert stand_ins == np.flatnonzero((key == key[row]).all(axis=1)).tolist()
 
 
 _HOP_SCHEMA = RelationSchema.build(join=["g"], skyline=["s0", "s1"], payload=["t"])

@@ -1,10 +1,27 @@
-"""Unit tests for repro.relational.groups."""
+"""Unit tests for repro.relational.groups (``ThetaOp``) and for join
+groups read off the hop kernel's substitution keys.
+
+Join groups are the classes of equal substitution keys of an equality
+hop side; under a theta condition a row's stand-ins are the rows whose
+key is at most its own in every column.
+"""
 
 import numpy as np
 import pytest
 
-from repro.relational import Relation, RelationSchema, ThetaGroupIndex, ThetaOp
-from repro.relational.groups import GroupIndex
+from repro.relational import HopJoin, HopSpec, Relation, RelationSchema, ThetaCondition, ThetaOp
+
+
+def key_classes(key):
+    """Rows grouped by equal key, as sorted row lists."""
+    _, inverse = np.unique(key, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == c).tolist() for c in range(inverse.max(initial=-1) + 1)]
+
+
+def stand_ins(key, row):
+    """Rows whose key is at most ``row``'s in every column."""
+    return np.flatnonzero((key <= key[row]).all(axis=1)).tolist()
 
 
 @pytest.fixture
@@ -15,30 +32,42 @@ def relation():
     )
 
 
+def equality_key(relation):
+    return HopJoin(HopSpec(), relation, relation).substitution_keys()[0]
+
+
 class TestGroupIndex:
+    """Join groups as the classes of equal equality keys."""
+
     def test_partition(self, relation):
-        idx = GroupIndex(relation)
-        assert len(idx) == 3
-        assert idx.rows(("a",)) == [0, 2]
-        assert idx.rows(("b",)) == [1, 4]
-        assert idx.rows(("missing",)) == []
+        groups = key_classes(equality_key(relation))
+        assert len(groups) == 3
+        assert [0, 2] in groups and [1, 4] in groups
+        # A key the other side lacks has no rows on this side.
+        schema = RelationSchema.build(join=["g"], skyline=["x"])
+        other = Relation(schema, {"g": ["missing", "a"], "x": [0.0, 0.0]})
+        left_key, right_key = HopJoin(HopSpec(), relation, other).substitution_keys()
+        assert not (left_key == right_key[0]).all(axis=1).any()
+        assert (left_key == right_key[1]).all(axis=1).nonzero()[0].tolist() == [0, 2]
 
     def test_key_of_and_groupmates(self, relation):
-        idx = GroupIndex(relation)
-        assert idx.key_of(4) == ("b",)
-        assert idx.groupmates(0) == [0, 2]
+        key = equality_key(relation)
+        assert [relation.join_key(r) for r in stand_ins(key, 4)] == [("b",), ("b",)]
+        assert stand_ins(key, 0) == [0, 2]
 
     def test_sizes(self, relation):
-        idx = GroupIndex(relation)
-        assert idx.sizes() == {("a",): 2, ("b",): 2, ("c",): 1}
+        classes = key_classes(equality_key(relation))
+        sizes = {relation.join_key(rows[0]): len(rows) for rows in classes}
+        assert sizes == {("a",): 2, ("b",): 2, ("c",): 1}
 
     def test_items_cover_all_rows(self, relation):
-        idx = GroupIndex(relation)
-        rows = sorted(r for _, members in idx.items() for r in members)
+        rows = sorted(r for members in key_classes(equality_key(relation)) for r in members)
         assert rows == list(range(len(relation)))
 
 
 class TestThetaGroupIndex:
+    """Theta stand-ins: rows guaranteed to join at least the same partners."""
+
     @pytest.fixture
     def rel(self):
         schema = RelationSchema.build(skyline=["v"], payload=["arr"])
@@ -47,19 +76,24 @@ class TestThetaGroupIndex:
             {"v": [0.0] * 5, "arr": [10.0, 20.0, 30.0, 20.0, 5.0]},
         )
 
+    @staticmethod
+    def theta_key(rel, op, is_left):
+        hop = HopSpec.on_theta(ThetaCondition("arr", op, "arr"))
+        return HopJoin(hop, rel, rel).substitution_keys()[0 if is_left else 1]
+
     def test_lt_left_side_superset(self, rel):
         # Condition left.arr < right.dep: smaller arr joins with more.
-        idx = ThetaGroupIndex(rel, "arr", ThetaOp.LT, is_left=True)
-        # Row 1 (arr=20): superset = rows with arr <= 20 (ties included).
-        assert sorted(idx.superset_rows(1)) == [0, 1, 3, 4]
-        assert sorted(idx.superset_rows(4)) == [4]
-        assert sorted(idx.superset_rows(2)) == [0, 1, 2, 3, 4]
+        key = self.theta_key(rel, ThetaOp.LT, is_left=True)
+        # Row 1 (arr=20): stand-ins = rows with arr <= 20 (ties included).
+        assert stand_ins(key, 1) == [0, 1, 3, 4]
+        assert stand_ins(key, 4) == [4]
+        assert stand_ins(key, 2) == [0, 1, 2, 3, 4]
 
     def test_gt_right_side_superset(self, rel):
         # Condition left.x < right.dep seen from the right: larger dep joins more.
-        idx = ThetaGroupIndex(rel, "arr", ThetaOp.LT, is_left=False)
-        assert sorted(idx.superset_rows(1)) == [1, 2, 3]
-        assert sorted(idx.superset_rows(2)) == [2]
+        key = self.theta_key(rel, ThetaOp.LT, is_left=False)
+        assert stand_ins(key, 1) == [1, 2, 3]
+        assert stand_ins(key, 2) == [2]
 
     @pytest.mark.parametrize(
         "op,is_left,row,expected",
@@ -72,15 +106,14 @@ class TestThetaGroupIndex:
         ],
     )
     def test_all_operators(self, rel, op, is_left, row, expected):
-        idx = ThetaGroupIndex(rel, "arr", op, is_left=is_left)
-        assert sorted(idx.superset_rows(row)) == expected
+        assert stand_ins(self.theta_key(rel, op, is_left), row) == expected
 
     def test_superset_rows_always_include_self(self, rel):
         for op in ThetaOp:
             for side in (True, False):
-                idx = ThetaGroupIndex(rel, "arr", op, is_left=side)
+                key = self.theta_key(rel, op, side)
                 for row in range(len(rel)):
-                    assert row in idx.superset_rows(row)
+                    assert row in stand_ins(key, row)
 
     def test_theta_op_evaluate(self):
         values = np.array([1.0, 2.0, 3.0])
