@@ -149,7 +149,7 @@ from .relational import (
     ThetaOp,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "AdmissionRejected",

@@ -29,8 +29,10 @@ Algorithms:
   This is the two-way NN rule of :func:`~repro.core.categorize.categorize`
   applied per relation: under equality hops a stand-in shares both hop
   values, under theta hops it joins at least the same partners
-  (Sec. 6.6). Surviving chains are verified against the full chain
-  set, keeping the algorithm exact for strictly monotone aggregates.
+  (Sec. 6.6). Surviving chains are verified against the sorted full
+  chain matrix by the check Algorithms 2 and 3 share
+  (:func:`~repro.core.verify.survivors`), keeping the algorithm exact
+  for strictly monotone aggregates.
 
 The valid k range generalizes to ``max_i d_i < k <= Σ_i l_i + a``
 (:class:`~repro.core.params.CascadeParams`).
@@ -55,12 +57,12 @@ from ..relational.aggregates import AggregateFunction
 from ..relational.join import HopJoin, HopSpec, joined_matrix
 from ..relational.relation import Relation
 from ..serving.deadline import active_deadline
-from ..skyline.dominance import is_k_dominated
 from .categorize import Category, categorize
 from .cost import choose_algorithm
 from .naive import _naive
 from .result import CascadeResult
 from .timing import PhaseClock
+from .verify import survivors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .._typing import AggregateLike, FloatMatrix, HopsLike, IntMatrix, IntVector, RowsLike
@@ -216,34 +218,31 @@ def run_cascade_pruned(plan: "CascadePlan", k: int) -> CascadeResult:
     with clock.phase("join"):
         candidates, cand_matrix = plan.pruned_candidates(k)
     with clock.phase("remaining"):
-        full_sorted = plan.sorted_oriented()
-        deadline = active_deadline()
-        if deadline is not None:
-            keep_idx = []
-
-            def partial() -> tuple[tuple[int, ...], ...]:
-                return tuple(
-                    tuple(int(x) for x in candidates[pos]) for pos in keep_idx
-                )
-
-            for pos in range(candidates.shape[0]):
-                deadline.check(partial)
-                if not is_k_dominated(full_sorted, cand_matrix[pos], k):
-                    keep_idx.append(pos)
-        else:
-            keep_idx = [
-                pos
-                for pos in range(candidates.shape[0])
-                if not is_k_dominated(full_sorted, cand_matrix[pos], k)
-            ]
+        kept = list(_verified_chains(plan, candidates, cand_matrix, k))
     return CascadeResult(
         k=k,
-        chains=candidates[keep_idx],
+        chains=np.concatenate(kept) if kept else candidates[:0],
         total_chains=int(all_chains.shape[0]),
         pruned_rows=pruned_rows,
         algorithm="pruned",
         timings=clock.freeze(),
     )
+
+
+def _verified_chains(
+    plan: "CascadePlan", candidates: IntMatrix, cand_matrix: FloatMatrix, k: int
+) -> Iterator[IntMatrix]:
+    """Yield the candidate chains that no chain k-dominates, as the
+    verifier decides them against the sorted chain matrix. A deadline
+    expiry's partial answer is every chain yielded so far."""
+    kept: list[IntMatrix] = []
+
+    def decided() -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(chain) for chunk in kept for chain in chunk.tolist())
+
+    for rows in survivors(plan.sorted_oriented(), cand_matrix, k, decided):
+        kept.append(candidates[rows])
+        yield kept[-1]
 
 
 def cascade_progressive(
@@ -252,10 +251,11 @@ def cascade_progressive(
     """Yield skyline chains progressively (candidate order).
 
     Candidates — the Theorem-4 pruning survivors for ``algorithm=
-    "pruned"``, every chain for ``"naive"`` — are verified one at a
-    time against the full chain set, and each survivor is yielded as
-    soon as it is decided: consuming a prefix performs only that
-    prefix's verification work. Parameters are validated here, before
+    "pruned"``, every chain for ``"naive"`` — are verified against the
+    full chain set by the pruned run's check
+    (:func:`~repro.core.verify.survivors`): in one kernel call, or one
+    candidate at a time under a serving deadline, each survivor yielded
+    as soon as it is decided. Parameters are validated here, before
     the generator is created, so a bad ``k`` or a non-strictly-monotone
     aggregate under pruning fails at the call, not on first ``next()``.
     """
@@ -272,25 +272,12 @@ def cascade_progressive(
         plan.require_strict_aggregate("pruned")
 
     def generate() -> Iterator[tuple[int, ...]]:
-        deadline = active_deadline()
-        emitted: list[tuple[int, ...]] = []
-
-        def partial() -> tuple[tuple[int, ...], ...]:
-            return tuple(emitted)
-
         if algorithm == "pruned":
             candidates, cand_matrix = plan.pruned_candidates(k)
         else:
             candidates, cand_matrix = plan.chains(), plan.oriented()
-        full_sorted = plan.sorted_oriented()
-        for pos in range(candidates.shape[0]):
-            if deadline is not None:
-                deadline.check(partial)
-            if not is_k_dominated(full_sorted, cand_matrix[pos], k):
-                chain = tuple(int(x) for x in candidates[pos])
-                if deadline is not None:
-                    emitted.append(chain)
-                yield chain
+        for chunk in _verified_chains(plan, candidates, cand_matrix, k):
+            yield from map(tuple, chunk.tolist())
 
     return generate()
 

@@ -28,16 +28,18 @@ from __future__ import annotations
 
 
 from ..errors import ParameterError
-from .grouping import run_grouping
+from .categorize import Categorization
+from .grouping import categorized_run
 from .plan import JoinPlan
 from .result import FindKResult, FindKStep
-from .timing import PhaseClock
+from .timing import PHASES, PhaseClock
 
 __all__ = ["find_k_at_least_delta", "find_k_at_most_delta"]
 
 
 class _FindKContext:
-    """Caches per-k bounds and exact counts, accumulating phase timings."""
+    """Caches per-k bounds, categorizations and exact counts,
+    accumulating phase timings."""
 
     def __init__(self, plan: JoinPlan, mode: str, clock: PhaseClock) -> None:
         self.plan = plan
@@ -52,6 +54,7 @@ class _FindKContext:
                 f"no valid k exists: k_min={self.k_min} > joined d={self.k_max}"
             )
         self._bounds: dict[int, tuple[int, int]] = {}
+        self._categories: dict[int, tuple[Categorization, Categorization]] = {}
         self._counts: dict[int, int] = {}
 
     def bounds(self, k: int) -> tuple[int, int]:
@@ -61,6 +64,7 @@ class _FindKContext:
             with self.clock.phase("grouping"):
                 cat1 = self.plan.categorize_left(params.k1_prime)
                 cat2 = self.plan.categorize_right(params.k2_prime)
+            self._categories[k] = (cat1, cat2)
             with self.clock.phase("join"):
                 yes = self.plan.compatible_pair_count(cat1.ss_rows, cat2.ss_rows)
                 likely = self.plan.compatible_pair_count(
@@ -80,12 +84,14 @@ class _FindKContext:
         return self._bounds[k]
 
     def exact_count(self, k: int) -> int:
-        """Full skyline evaluation at ``k`` via the grouping algorithm."""
+        """Full skyline evaluation at ``k`` via the grouping algorithm,
+        reusing the categorizations of :meth:`bounds` at ``k``."""
         if k not in self._counts:
-            result = run_grouping(self.plan, k, mode=self.mode)
-            for phase, seconds in result.timings.as_dict().items():
-                if phase in ("grouping", "join", "remaining", "dominator"):
-                    self.clock.add(phase, seconds)
+            result = categorized_run(
+                self.plan, k, self.mode, "grouping", self._categories.get(k)
+            )
+            for phase in PHASES:
+                self.clock.add(phase, getattr(result.timings, phase))
             self._counts[k] = result.count
         return self._counts[k]
 
@@ -97,23 +103,9 @@ def find_k_at_least_delta(
     mode: str = "faithful",
 ) -> FindKResult:
     """Problem 3: smallest ``k`` whose skyline has at least δ tuples."""
-    if delta < 1:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if method not in ("naive", "range", "binary"):
-        raise ParameterError(f"unknown find-k method {method!r}")
-    clock = PhaseClock()
-    ctx = _FindKContext(plan, mode, clock)
-    steps: list[FindKStep] = []
-
-    if method == "naive":
-        k = _naive_search(ctx, delta, steps)
-    elif method == "range":
-        k = _range_search(ctx, delta, steps)
-    else:
-        k = _binary_search(ctx, delta, steps)
-
+    ctx, k, steps = _search(plan, delta, method, mode)
     return FindKResult(
-        method=method, delta=delta, k=k, steps=tuple(steps), timings=clock.freeze()
+        method=method, delta=delta, k=k, steps=steps, timings=ctx.clock.freeze()
     )
 
 
@@ -128,11 +120,11 @@ def find_k_at_most_delta(
     Reduction from Problem 3 (Sec. 3): with ``k* = `` the Problem-3
     answer, the Problem-4 answer is ``k* - 1`` except when (a) ``k*`` is
     the smallest valid k, or (b) the ``k*``-dominant skyline has exactly
-    δ tuples or ``k* = d``, in which case it is ``k*`` itself.
+    δ tuples or ``k* = d``, in which case it is ``k*`` itself. The
+    reduction reuses the search's context, so ``k*`` is evaluated at
+    most once and its time counts in the result's timings.
     """
-    inner = find_k_at_least_delta(plan, delta, method=method, mode=mode)
-    ctx = _FindKContext(plan, mode, PhaseClock())
-    k_star = inner.k
+    ctx, k_star, steps = _search(plan, delta, method, mode)
     if k_star <= ctx.k_min:
         k = k_star
     elif k_star == ctx.k_max and ctx.exact_count(k_star) <= delta:
@@ -142,12 +134,27 @@ def find_k_at_most_delta(
     else:
         k = k_star - 1
     return FindKResult(
-        method=f"{inner.method} (at-most reduction)",
+        method=f"{method} (at-most reduction)",
         delta=delta,
         k=k,
-        steps=inner.steps,
-        timings=inner.timings,
+        steps=steps,
+        timings=ctx.clock.freeze(),
     )
+
+
+def _search(
+    plan: JoinPlan, delta: int, method: str, mode: str
+) -> tuple[_FindKContext, int, tuple[FindKStep, ...]]:
+    """Run one Problem-3 search; returns its context, ``k`` and steps."""
+    if delta < 1:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    search = {"naive": _naive_search, "range": _range_search, "binary": _binary_search}
+    if method not in search:
+        raise ParameterError(f"unknown find-k method {method!r}")
+    ctx = _FindKContext(plan, mode, PhaseClock())
+    steps: list[FindKStep] = []
+    k = search[method](ctx, delta, steps)
+    return ctx, k, tuple(steps)
 
 
 # ----------------------------------------------------------------------

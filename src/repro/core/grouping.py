@@ -1,26 +1,43 @@
-"""Algorithm 2: the grouping KSJQ algorithm (paper Sec. 6.3).
+"""Algorithms 2 and 3 and the cartesian case: one body (paper Secs. 6.3-6.5).
 
 Pipeline:
 
 1. **Grouping** — categorize each base relation into SS/SN/NN under the
    thresholds ``k'_1 = k - l2`` and ``k'_2 = k - l1``.
 2. **Join** — enumerate only the joined pairs of non-"no" cells:
-   SS⋈SS ("yes", emitted immediately), SS⋈SN and SN⋈SS ("likely") and
-   SN⋈SN ("may be"). Every pair containing an NN component is pruned
-   without being joined (Th. 2/4). The full join is materialized only
-   when a "may be" cell is non-empty, because it is that cell's check
-   target (Algo 2, line 10).
-3. **Verification** — "likely" tuples are checked against the join of
-   the SS component's target set with the full partner relation (Algo 2
-   lines 8-9); "may be" tuples against the full join.
+   SS⋈SS ("yes"), SS⋈SN and SN⋈SS ("likely") and SN⋈SN ("may be").
+   Every pair containing an NN component is pruned without being
+   joined (Th. 2/4). The full join is materialized only when a
+   non-empty cell is checked against it (Algo 2, line 10).
+3. **Verification** — every checked cell goes through the one verifier,
+   :func:`~repro.core.verify.verify_pairs`, which checks each pair
+   against the join of its components' target rows. The algorithms
+   differ only in each cell's target-row functions
+   (:func:`cell_targets`):
+
+   * Algorithm 2 (``run_grouping``), faithful: the "likely" cells use
+     the SS component's paper target set times the whole partner
+     relation (Algo 2 lines 8-9), the "may be" cell the whole join;
+   * Algorithm 3 (:func:`~repro.core.dominator.run_dominator`),
+     faithful: each component's dominator set on both sides, built up
+     front in the ``dominator`` phase;
+   * exact mode, either algorithm: the complete local-attribute target
+     sets (:func:`~repro.core.targets.target_rows_exact`) on both
+     sides, for every cell including "yes".
+
+   The cartesian case (:func:`~repro.core.cartesian.run_cartesian`) is
+   the same body on a cartesian plan, whose SN sets are always empty,
+   and :func:`~repro.core.progressive.ksjq_progressive` iterates the
+   faithful grouping body pair by pair.
 
 Modes:
 
-* ``"faithful"`` — the paper's algorithm verbatim. Exact for ``a = 0``;
-  with aggregation it may return a *superset* of the true skyline
-  (incomplete target sets for ``a >= 1``, unsound "yes" cell for
-  ``a >= 2``; see DESIGN.md "Soundness errata") and a
-  :class:`~repro.errors.SoundnessWarning` is emitted.
+* ``"faithful"`` — the paper's algorithm verbatim: the "yes" cell is
+  emitted unchecked (Th. 1/3). Exact for ``a = 0``; with aggregation it
+  may return a *superset* of the true skyline (incomplete target sets
+  for ``a >= 1``, unsound "yes" cell for ``a >= 2``; see DESIGN.md
+  "Soundness errata") and a :class:`~repro.errors.SoundnessWarning` is
+  emitted.
 * ``"exact"`` — additionally verifies "yes" tuples and uses the
   complete local-attribute target predicate; equal to the naïve
   algorithm for strictly monotone aggregates (differential- and
@@ -30,26 +47,38 @@ Modes:
 from __future__ import annotations
 
 import warnings
-
+from collections.abc import Callable, Iterator
+from contextlib import nullcontext
+from functools import cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import AlgorithmError, SoundnessWarning
-from ..serving.deadline import Deadline, PartialProvider, active_deadline
-from ..skyline.dominance import is_k_dominated, k_dominated_any
-from .categorize import Categorization
+
+# Not called here. perfbench's self-test expects this module to bind
+# the kernel by name: the tracer wraps every such binding to time
+# verification.
+from ..skyline.dominance import k_dominated_any  # noqa: F401
+from .categorize import Categorization, Category
 from .params import KSJQParams
 from .plan import JoinPlan
 from .result import KSJQResult
 from .targets import target_rows_exact, target_rows_paper
 from .timing import PhaseClock
-from .verify import sort_rows_for_early_exit
+from .verify import TargetRows, sort_rows_for_early_exit, verify_pairs
 
 if TYPE_CHECKING:
-    from .._typing import IntMatrix, IntVector
+    from .._typing import FloatMatrix, IntMatrix, IntVector
 
-__all__ = ["run_grouping", "warn_if_unsound", "collect_cells"]
+__all__ = ["run_grouping", "categorized_run", "warn_if_unsound", "collect_cells"]
+
+#: The fate cells that are joined, in the order they are decided.
+CELLS = ("SS*SS", "SS*SN", "SN*SS", "SN*SN")
+
+#: Each cell's two target-row functions; a cell left out is "yes",
+#: emitted unchecked.
+CellTargets = dict[str, tuple[TargetRows, TargetRows]]
 
 
 def warn_if_unsound(mode: str, params: KSJQParams, algorithm: str) -> None:
@@ -86,185 +115,143 @@ def collect_cells(
     }
 
 
-def _partial_provider(
-    accepted: list[IntMatrix],
-    cell_pairs: IntMatrix | None = None,
-    keep: list[int] | None = None,
-) -> PartialProvider:
-    """Pairs decided so far, for a ``DeadlineExceeded`` payload.
-
-    ``accepted`` holds the cells already fully decided; ``cell_pairs``
-    and ``keep`` (mutated in place by the caller's verification loop)
-    add the in-flight cell's verified keeps. Only evaluated when a
-    deadline actually trips.
-    """
-
-    def partial() -> tuple[tuple[int, ...], ...]:
-        pairs = [tuple(int(x) for x in row) for cell in accepted for row in cell]
-        if cell_pairs is not None and keep:
-            pairs.extend(tuple(int(x) for x in cell_pairs[pos]) for pos in keep)
-        return tuple(pairs)
-
-    return partial
-
-
 def run_grouping(plan: JoinPlan, k: int, mode: str = "faithful") -> KSJQResult:
     """Run Algorithm 2 on a prepared join plan."""
-    if mode not in ("faithful", "exact"):
-        raise AlgorithmError(f"unknown mode {mode!r} (use 'faithful' or 'exact')")
-    params = plan.params(k)
-    plan.require_strict_aggregate("grouping algorithm")
-    warn_if_unsound(mode, params, "grouping algorithm")
+    return categorized_run(plan, k, mode, "grouping")
 
+
+#: The name errors and warnings give each algorithm.
+_NAMES = {
+    "grouping": "grouping algorithm",
+    "dominator": "dominator-based algorithm",
+    "cartesian": "cartesian algorithm",
+    "progressive": "progressive grouping algorithm",
+}
+
+
+def categorized_run(
+    plan: JoinPlan,
+    k: int,
+    mode: str,
+    algorithm: str,
+    categories: tuple[Categorization, Categorization] | None = None,
+) -> KSJQResult:
+    """Run Algorithm 2 (``"grouping"``), Algorithm 3 (``"dominator"``)
+    or the cartesian case (``"cartesian"``) on a prepared join plan.
+
+    ``categories`` hands in both sides' categorizations at ``k`` when
+    the caller already has them (find-k's count bounds).
+    """
     clock = PhaseClock()
-    with clock.phase("grouping"):
-        cat1 = plan.categorize_left(params.k1_prime)
-        cat2 = plan.categorize_right(params.k2_prime)
-
-    with clock.phase("join"):
-        cells = collect_cells(plan, cat1, cat2)
-        full_matrix = None
-        if mode == "faithful" and cells["SN*SN"].shape[0]:
-            full_matrix = sort_rows_for_early_exit(plan.view().oriented())
-
-    accepted: list[IntMatrix] = []
-    checked = 0
-    deadline = active_deadline()
+    params, cat1, cat2, cells, targets = prepare(plan, k, mode, algorithm, clock, categories)
+    joined = whole_join(plan)
+    if cells["SN*SN"].shape[0] and targets.get("SN*SN") == (None, None):
+        with clock.phase("join"):
+            joined()
     with clock.phase("remaining"):
-        if mode == "faithful":
-            accepted.append(cells["SS*SS"])  # Th. 1/3: "yes" without checking
-            checked += _verify_likely(
-                plan, params, cells["SS*SN"], ss_side="left", out=accepted,
-                deadline=deadline,
-            )
-            checked += _verify_likely(
-                plan, params, cells["SN*SS"], ss_side="right", out=accepted,
-                deadline=deadline,
-            )
-            if cells["SN*SN"].shape[0]:
-                vectors = plan.oriented_for_pairs(cells["SN*SN"])
-                if deadline is None:
-                    # One blocked many-vs-matrix kernel pass instead of a
-                    # Python-level per-row loop; identical keeps in
-                    # identical order.
-                    dominated = k_dominated_any(full_matrix, vectors, k)
-                    checked += vectors.shape[0]
-                    accepted.append(cells["SN*SN"][~dominated])
-                else:
-                    keep: list[int] = []
-                    partial = _partial_provider(accepted, cells["SN*SN"], keep)
-                    for i in range(vectors.shape[0]):
-                        deadline.check(partial)
-                        if not is_k_dominated(full_matrix, vectors[i], k):
-                            keep.append(i)
-                    checked += vectors.shape[0]
-                    accepted.append(cells["SN*SN"][keep])
-        else:
-            checked += _verify_exact(plan, params, cells, accepted, deadline=deadline)
-
-    pairs = (
-        np.concatenate([c for c in accepted if c.shape[0]], axis=0)
-        if any(c.shape[0] for c in accepted)
-        else np.empty((0, 2), dtype=np.intp)
-    )
+        decided = list(decide(plan, k, cells, targets, joined))
     return KSJQResult(
-        algorithm="grouping",
+        algorithm=algorithm,
         mode=mode,
         params=params,
-        pairs=pairs,
+        pairs=np.concatenate(decided) if decided else np.empty((0, 2), dtype=np.intp),
         timings=clock.freeze(),
         left_counts=cat1.counts(),
         right_counts=cat2.counts(),
         cell_pair_counts={name: int(arr.shape[0]) for name, arr in cells.items()},
-        checked=checked,
+        checked=sum(int(cells[name].shape[0]) for name in targets),
     )
 
 
-def _verify_likely(
+def prepare(
     plan: JoinPlan,
-    params: KSJQParams,
-    cell_pairs: IntMatrix,
-    ss_side: str,
-    out: list[IntMatrix],
-    deadline: Deadline | None = None,
-) -> int:
-    """Check one "likely" cell against target-set joins (Algo 2 lines 8-9).
-
-    The target join is shared by all pairs having the same SS-side
-    component, so pairs are processed grouped by that component.
-    """
-    if cell_pairs.shape[0] == 0:
-        return 0
-    k = params.k
-    vectors = plan.oriented_for_pairs(cell_pairs)
-
-    by_anchor: dict[int, list[int]] = {}
-    anchor_col = 0 if ss_side == "left" else 1
-    for pos in range(cell_pairs.shape[0]):
-        by_anchor.setdefault(int(cell_pairs[pos, anchor_col]), []).append(pos)
-
-    keep: list[int] = []
-    partial = (
-        _partial_provider(out, cell_pairs, keep) if deadline is not None else None
-    )
-    for anchor, positions in by_anchor.items():
-        if deadline is not None:
-            deadline.check(partial)
-        if ss_side == "left":
-            targets = target_rows_paper(plan.left, anchor, params.k1_prime)
-            candidates = plan.compatible_pairs(targets, np.arange(len(plan.right)))
-        else:
-            targets = target_rows_paper(plan.right, anchor, params.k2_prime)
-            candidates = plan.compatible_pairs(np.arange(len(plan.left)), targets)
-        if candidates.shape[0] == 0:
-            keep.extend(positions)
-            continue
-        matrix = sort_rows_for_early_exit(plan.oriented_for_pairs(candidates))
-        for pos in positions:
-            if deadline is not None:
-                deadline.check(partial)
-            if not is_k_dominated(matrix, vectors[pos], k):
-                keep.append(pos)
-    out.append(cell_pairs[sorted(keep)])
-    return int(cell_pairs.shape[0])
-
-
-def _verify_exact(
-    plan: JoinPlan,
-    params: KSJQParams,
-    cells: dict[str, IntMatrix],
-    out: list[IntMatrix],
-    deadline: Deadline | None = None,
-) -> int:
-    """Exact mode: verify every candidate cell with complete target sets."""
-    k = params.k
-    left_cache: dict[int, IntVector] = {}
-    right_cache: dict[int, IntVector] = {}
-    checked = 0
-    for name in ("SS*SS", "SS*SN", "SN*SS", "SN*SN"):
-        cell_pairs = cells[name]
-        if cell_pairs.shape[0] == 0:
-            continue
-        vectors = plan.oriented_for_pairs(cell_pairs)
-        keep: list[int] = []
-        partial = (
-            _partial_provider(out, cell_pairs, keep) if deadline is not None else None
+    k: int,
+    mode: str,
+    algorithm: str,
+    clock: PhaseClock,
+    categories: tuple[Categorization, Categorization] | None = None,
+) -> tuple[KSJQParams, Categorization, Categorization, dict[str, IntMatrix], CellTargets]:
+    """Validate the query, then categorize both sides, build each cell's
+    target-row functions and join the non-"no" cells, each in its
+    timing phase."""
+    if mode not in ("faithful", "exact"):
+        raise AlgorithmError(f"unknown mode {mode!r} (use 'faithful' or 'exact')")
+    params = plan.params(k)
+    plan.require_strict_aggregate(_NAMES[algorithm])
+    warn_if_unsound(mode, params, _NAMES[algorithm])
+    with clock.phase("grouping"):
+        cat1, cat2 = categories or (
+            plan.categorize_left(params.k1_prime),
+            plan.categorize_right(params.k2_prime),
         )
-        for pos in range(cell_pairs.shape[0]):
-            if deadline is not None:
-                deadline.check(partial)
-            u, v = int(cell_pairs[pos, 0]), int(cell_pairs[pos, 1])
-            if u not in left_cache:
-                left_cache[u] = target_rows_exact(plan.left, u, params.k1_min_local)
-            if v not in right_cache:
-                right_cache[v] = target_rows_exact(plan.right, v, params.k2_min_local)
-            candidates = plan.compatible_pairs(left_cache[u], right_cache[v])
-            if candidates.shape[0] == 0:
-                keep.append(pos)
-                continue
-            matrix = plan.oriented_for_pairs(candidates)
-            if not is_k_dominated(matrix, vectors[pos], k):
-                keep.append(pos)
-        checked += int(cell_pairs.shape[0])
-        out.append(cell_pairs[keep])
-    return checked
+    with clock.phase("dominator") if algorithm == "dominator" else nullcontext():
+        targets = cell_targets(plan, params, mode, algorithm, cat1, cat2)
+    with clock.phase("join"):
+        cells = collect_cells(plan, cat1, cat2)
+    return params, cat1, cat2, cells, targets
+
+
+def cell_targets(
+    plan: JoinPlan,
+    params: KSJQParams,
+    mode: str,
+    algorithm: str,
+    cat1: Categorization,
+    cat2: Categorization,
+) -> CellTargets:
+    """Each checked cell's target-row functions, one per side (paper
+    Def. 5); ``None`` is the whole relation."""
+    left: Callable[[int], IntVector]
+    right: Callable[[int], IntVector]
+    if mode == "exact":
+        left = partial(target_rows_exact, plan.left, k_min_local=params.k1_min_local)
+        right = partial(target_rows_exact, plan.right, k_min_local=params.k2_min_local)
+    else:
+        left = partial(target_rows_paper, plan.left, k_prime=params.k1_prime)
+        right = partial(target_rows_paper, plan.right, k_prime=params.k2_prime)
+    if algorithm == "dominator":
+        # Algo 3 lines 6-13: the sets of every SS and SN tuple, up front.
+        rows1, rows2 = (np.flatnonzero(cat.labels != Category.NN).tolist() for cat in (cat1, cat2))
+        left = {row: left(row) for row in rows1}.__getitem__
+        right = {row: right(row) for row in rows2}.__getitem__
+    else:
+        left, right = cache(left), cache(right)
+    if mode == "exact":
+        return dict.fromkeys(CELLS, (left, right))
+    if algorithm == "dominator":
+        return dict.fromkeys(CELLS[1:], (left, right))
+    return {"SS*SN": (left, None), "SN*SS": (None, right), "SN*SN": (None, None)}
+
+
+def whole_join(plan: JoinPlan) -> Callable[[], FloatMatrix]:
+    """The plan's whole join as a target matrix, sorted for early exit
+    and built on first call."""
+    return cache(lambda: sort_rows_for_early_exit(plan.view().oriented()))
+
+
+def decide(
+    plan: JoinPlan,
+    k: int,
+    cells: dict[str, IntMatrix],
+    targets: CellTargets,
+    joined: Callable[[], FloatMatrix],
+) -> Iterator[IntMatrix]:
+    """Yield the surviving pairs of each cell in :data:`CELLS` order: an
+    unchecked cell whole, a checked one as the verifier keeps them.
+
+    A deadline expiry's partial answer is every pair yielded so far.
+    """
+    accepted: list[IntMatrix] = []
+
+    def decided() -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(pair) for chunk in accepted for pair in chunk.tolist())
+
+    for name in CELLS:
+        chunks = (
+            verify_pairs(plan, cells[name], *targets[name], k, joined, decided)
+            if name in targets
+            else iter((cells[name],))
+        )
+        for chunk in chunks:
+            accepted.append(chunk)
+            yield chunk

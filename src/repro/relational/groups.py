@@ -57,11 +57,16 @@ class ThetaOp(enum.Enum):
         right column for ``<`` / ``<=``, a prefix for ``>`` / ``>=`` —
         found by one vectorized binary search. A right value tied with
         the left value is outside a ``<`` suffix but inside a ``>=``
-        prefix, hence the search side."""
+        prefix, hence the search side. NaN compares false, as in
+        :meth:`evaluate`: the NaNs that sort last in the right column
+        are outside every range, and a NaN left value gets an empty one."""
         if self in (ThetaOp.LT, ThetaOp.GE):
             cut = np.searchsorted(sorted_right, left_values, side="right")
         else:
             cut = np.searchsorted(sorted_right, left_values, side="left")
         if self in (ThetaOp.LT, ThetaOp.LE):
-            return cut, np.full_like(cut, sorted_right.size)
-        return np.zeros_like(cut), cut
+            lo, hi = cut, np.full_like(cut, np.count_nonzero(~np.isnan(sorted_right)))
+        else:
+            lo, hi = np.zeros_like(cut), cut
+        empty = np.isnan(left_values)
+        return np.where(empty, 0, lo), np.where(empty, 0, hi)

@@ -420,6 +420,7 @@ def joined_matrix(
     because an aggregate's monotonicity is stated on raw values.
     """
     rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(relations))
+    # Rows, then columns: column-major blocks, which the per-row TSA scans faster.
     blocks = [
         rel.oriented()[rows[:, i]][:, rel.local_column_indices()]
         for i, rel in enumerate(relations)

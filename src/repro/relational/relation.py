@@ -91,6 +91,10 @@ class Relation:
         signs = np.asarray(schema.preference_signs(), dtype=np.float64)
         self._oriented = matrix * signs if sky_names else matrix
         self._oriented.setflags(write=False)
+        local = set(schema.local_names)
+        self._local_columns = [i for i, n in enumerate(sky_names) if n in local]
+        self._oriented_local = self._oriented[:, self._local_columns]
+        self._oriented_local.setflags(write=False)
         self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
@@ -176,9 +180,9 @@ class Relation:
         return self._oriented
 
     def oriented_local(self) -> FloatMatrix:
-        """Minimize-space matrix restricted to local (non-aggregate) columns."""
-        idx = self.local_column_indices()
-        return self._oriented[:, idx]
+        """Minimize-space matrix restricted to local (non-aggregate)
+        columns (read-only)."""
+        return self._oriented_local
 
     def oriented_aggregate(self) -> FloatMatrix:
         """Minimize-space matrix restricted to aggregate-input columns."""
@@ -186,10 +190,9 @@ class Relation:
         return self._oriented[:, idx]
 
     def local_column_indices(self) -> list[int]:
-        """Positions of local attributes within the skyline matrix."""
-        names = self.schema.skyline_names
-        local = set(self.schema.local_names)
-        return [i for i, n in enumerate(names) if n in local]
+        """Positions of local attributes within the skyline matrix (do not
+        mutate)."""
+        return self._local_columns
 
     def aggregate_column_indices(self) -> list[int]:
         """Positions of aggregate inputs within the skyline matrix."""

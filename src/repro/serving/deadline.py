@@ -1,11 +1,12 @@
 """Per-request deadlines with cooperative cancellation checkpoints.
 
 A :class:`Deadline` gives one request a wall-clock budget. The
-algorithm hot loops (``core/naive.py``, ``core/grouping.py``,
-``core/cascade.py``, ``core/parallel.py`` and the progressive
-generators) call :func:`active_deadline` once on entry and then
-:meth:`Deadline.check` every :data:`DEFAULT_CHECK_INTERVAL` candidate
-rows; an expired check raises
+algorithm hot loops call :func:`active_deadline` once on entry and then
+:meth:`Deadline.check` at bounded-work checkpoints: the verifier of
+``core/verify.py`` (behind Algorithms 2 and 3, the progressive
+generators and the pruned cascade) before each candidate, the exact
+pipeline of ``core/parallel.py`` (behind the naive, parallel and
+indexed runs) before each wave of chunks. An expired check raises
 :class:`~repro.errors.DeadlineExceeded` carrying the progressive
 partial answer decided so far.
 

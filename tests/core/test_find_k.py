@@ -1,5 +1,7 @@
 """Unit tests for repro.core.find_k (Algorithms 4-6, Problems 3-4)."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -162,3 +164,51 @@ class TestFindKWithAggregates:
                 lb, ub = ctx.bounds(k)
                 count = repro.run_naive(plan, k).count
                 assert lb <= count <= ub
+
+
+class TestEvaluationReuse:
+    """Each k is categorized at most once and each full evaluation runs
+    at most once, the at-most reduction included; the search itself is
+    unchanged."""
+
+    #: (k, exact count) per step of the at-least search, per method.
+    STEPS = {
+        "naive": [(7, 0), (8, 0), (9, 0), (10, 26)],
+        "range": [(7, None), (8, None), (9, None), (10, 26)],
+        "binary": [(9, None), (11, None), (10, 26), (10, None)],
+    }
+
+    @pytest.mark.parametrize("objective", ["at_least", "at_most"])
+    @pytest.mark.parametrize("method", ["naive", "range", "binary"])
+    @pytest.mark.parametrize("mode", ["faithful", "exact"])
+    def test_each_k_evaluated_once(self, monkeypatch, mode, method, objective):
+        from repro.datagen import generate_relation_pair
+
+        module = importlib.import_module("repro.core.find_k")
+        left, right = generate_relation_pair(n=200, d=6, g=10, a=0, seed=1)
+        plan = JoinPlan(left, right)
+        k_primes: list[int] = []
+        runs: list[int] = []
+        categorize_left = JoinPlan.categorize_left
+        run = module.categorized_run
+
+        def spy_categorize(self, k_prime):
+            k_primes.append(k_prime)
+            return categorize_left(self, k_prime)
+
+        def spy_run(plan, k, *args):
+            runs.append(k)
+            return run(plan, k, *args)
+
+        monkeypatch.setattr(JoinPlan, "categorize_left", spy_categorize)
+        monkeypatch.setattr(module, "categorized_run", spy_run)
+        search = find_k_at_least_delta if objective == "at_least" else find_k_at_most_delta
+        result = search(plan, 20, method=method, mode=mode)
+
+        assert result.k == (10 if objective == "at_least" else 9)
+        assert [(step.k, step.exact_count) for step in result.steps] == self.STEPS[method]
+        assert len(k_primes) == len(set(k_primes))
+        assert runs.count(10) == 1 and len(runs) == len(set(runs))
+        if method == "binary":
+            assert k_primes == [3, 5, 4]
+            assert runs == [10]

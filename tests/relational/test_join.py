@@ -77,6 +77,35 @@ class TestPairEnumeration:
         pairs = HopJoin(HopSpec.on_theta(cond), lrel, rrel).pairs()
         assert set(map(tuple, pairs.tolist())) == expected
 
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            *(ThetaCondition("t", op, "t") for op in ThetaOp),
+            (ThetaCondition("t", ThetaOp.GE, "t"), ThetaCondition("u", ThetaOp.LT, "u")),
+        ],
+        ids=["lt", "le", "gt", "ge", "conjunction"],
+    )
+    def test_nan_theta_values_join_nothing(self, theta):
+        """A NaN theta value compares false under every operator, so the
+        kernel's pairs and partner counts match a nested loop over
+        ``ThetaOp.evaluate``."""
+        schema = RelationSchema.build(skyline=["x"], payload=["t", "u"])
+        lrel = Relation(schema, {"x": [0.0, 1.0], "t": [np.nan, 5.0], "u": [1.0, 1.0]})
+        rrel = Relation(schema, {"x": [0.0, 1.0], "t": [3.0, np.nan], "u": [2.0, 2.0]})
+        join = HopJoin(HopSpec.on_theta(theta), lrel, rrel)
+        expected = [
+            [i, j]
+            for i in range(2)
+            for j in range(2)
+            if all(
+                cond.op.evaluate(lrel.column(cond.left_attr)[i], rrel.column(cond.right_attr)[j])
+                for cond in join.hop.theta
+            )
+        ]
+        assert join.pairs().tolist() == expected
+        counts = [sum(1 for i, _ in expected if i == row) for row in range(2)]
+        assert join.weight_sums().tolist() == counts
+
 
 class TestLayout:
     def test_plain_layout(self, left, right):

@@ -137,13 +137,25 @@ class TestCheckpointedSkyline:
 # Engine-level cancellation, per algorithm
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    ("algorithm", "parallelism"),
-    [("naive", "auto"), ("grouping", "auto"), ("auto", 2)],
-    ids=["naive", "grouping", "parallel"],
+    ("algorithm", "parallelism", "mode", "join"),
+    [
+        ("naive", "auto", "faithful", "equality"),
+        ("grouping", "auto", "faithful", "equality"),
+        ("auto", 2, "faithful", "equality"),
+        ("dominator", "auto", "faithful", "equality"),
+        ("dominator", "auto", "exact", "equality"),
+        ("cartesian", "auto", "exact", "cartesian"),
+    ],
+    ids=[
+        "naive", "grouping", "parallel", "dominator-faithful", "dominator-exact",
+        "cartesian-exact",
+    ],
 )
-def test_engine_partial_is_subset_and_rerun_is_exact(algorithm, parallelism):
+def test_engine_partial_is_subset_and_rerun_is_exact(algorithm, parallelism, mode, join):
     left, right = make_random_pair(seed=5, n=60, d=4, g=3)
-    spec = QuerySpec.for_ksjq(k=8, algorithm=algorithm, parallelism=parallelism)
+    spec = QuerySpec.for_ksjq(
+        k=8, algorithm=algorithm, mode=mode, join=join, parallelism=parallelism
+    )
     exact = Engine().execute(left, right, spec=spec).pair_set()
     assert exact, "fixture must have a non-empty skyline to be meaningful"
 
@@ -252,10 +264,11 @@ def test_cold_cell_pruning_scan_stops_at_expiry(monkeypatch):
     assert naive.count and rerun.pairs.tolist() == naive.pairs.tolist()
 
 
-def test_cascade_partial_is_subset_and_rerun_is_exact():
+@pytest.mark.parametrize("algorithm", ["auto", "pruned"])
+def test_cascade_partial_is_subset_and_rerun_is_exact(algorithm):
     r1, r2 = make_random_pair(seed=9, n=30, d=4, g=3)
     r3, _ = make_random_pair(seed=11, n=30, d=4, g=3)
-    spec = QuerySpec.for_cascade(k=12)
+    spec = QuerySpec.for_cascade(k=12, algorithm=algorithm)
     exact_chains = Engine().execute(r1, r2, r3, spec=spec).chains
     exact = {tuple(int(x) for x in row) for row in exact_chains}
 
